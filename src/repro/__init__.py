@@ -14,8 +14,8 @@ Quickstart::
     detector.update(batch)          # incremental Correction Propagation
     print(detector.communities())
 
-Execution selection — local backend, distributed message plane, shard
-storage, state format — goes through one declarative layer
+Execution selection — local backend, workers, state format, transport —
+goes through one declarative layer
 (:mod:`repro.api`): configs resolve to a ``RunPlan`` with recorded
 provenance (``plan_for(graph, ExecutionConfig(...)).explain()``), and
 ``AlgoConfig`` / ``ExecutionConfig`` / ``ServicePlanConfig`` drive the

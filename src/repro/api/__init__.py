@@ -6,15 +6,15 @@ the same thing.  Three layers (see ``DESIGN.md`` at the repo root):
 
 1. **Configs** (:mod:`repro.api.config`) — frozen declarative dataclasses:
    :class:`AlgoConfig` (seed, horizon T, τ sweep),
-   :class:`ExecutionConfig` (backend / message plane / shard storage /
-   state format / workers / partitioner / multiprocess),
+   :class:`ExecutionConfig` (backend / state format / workers /
+   partitioner / multiprocess / transport / fault tolerance / trace),
    :class:`ServicePlanConfig` (a full service deployment).
 2. **Plan resolution** (:mod:`repro.api.plan`) —
    :func:`resolve_plan(caps, config) <resolve_plan>` negotiates every
    ``"auto"`` against the graph's :class:`GraphCaps` in exactly one
    place and returns a :class:`RunPlan` whose :meth:`RunPlan.explain`
-   says why each fallback fired.  Components (partitioners, engines,
-   worker programs) resolve by name through
+   says why each fallback fired.  Components (partitioners, worker
+   programs, transports) resolve by name through
    :mod:`repro.api.registry`, so plugins extend any axis.
 3. **Results** (:mod:`repro.api.results`) — :class:`DetectionResult` /
    :class:`UpdateResult` / :class:`DistributedResult` carry the cover,
@@ -44,7 +44,6 @@ from repro.api.plan import (
     resolve_service_plan,
 )
 from repro.api.registry import (
-    ENGINES,
     PARTITIONERS,
     PROGRAMS,
     SERVICE_TRANSPORTS,
@@ -72,7 +71,6 @@ __all__ = [
     "plan_for",
     "Registry",
     "PARTITIONERS",
-    "ENGINES",
     "PROGRAMS",
     "SERVICE_TRANSPORTS",
     "DetectionResult",

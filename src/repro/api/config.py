@@ -5,8 +5,8 @@ Three frozen dataclasses describe a run before any negotiation happens:
 * :class:`AlgoConfig` — the algorithm itself (seed, horizon T, τ1 sweep
   step).  Identical values ⇒ bit-identical labels on every backend.
 * :class:`ExecutionConfig` — where and on what substrate the run executes:
-  the local backend, the distributed message plane, worker-shard storage,
-  state export format, worker count, partitioner, multiprocess flag.
+  the local backend, state export format, worker count, partitioner,
+  multiprocess flag and its transport, fault tolerance, tracing.
   Every field accepts ``"auto"``; :func:`repro.api.plan.resolve_plan`
   turns the config plus the graph's capabilities into a concrete
   :class:`~repro.api.plan.RunPlan` with recorded provenance.
@@ -32,8 +32,6 @@ __all__ = [
     "ExecutionConfig",
     "ServicePlanConfig",
     "BACKEND_CHOICES",
-    "ENGINE_CHOICES",
-    "SHARD_BACKEND_CHOICES",
     "STATE_FORMAT_CHOICES",
     "TRANSPORT_CHOICES",
     "SERVICE_TRANSPORT_CHOICES",
@@ -43,11 +41,9 @@ __all__ = [
 DEFAULT_ITERATIONS = 200
 
 #: Built-in values per execution axis (``auto`` defers to plan resolution;
-#: ``engine`` and ``transport`` additionally accept any name registered in
-#: :data:`repro.api.registry.ENGINES` / :data:`repro.api.registry.TRANSPORTS`).
+#: ``transport`` additionally accepts any name registered in
+#: :data:`repro.api.registry.TRANSPORTS`).
 BACKEND_CHOICES = ("auto", "fast", "reference")
-ENGINE_CHOICES = ("auto", "reference", "array")
-SHARD_BACKEND_CHOICES = ("auto", "dict", "csr")
 STATE_FORMAT_CHOICES = ("auto", "dict", "array")
 TRANSPORT_CHOICES = ("auto", "pipe", "shm", "tcp")
 #: Service-plane (primary → replica WAL shipping) transports; distinct
@@ -98,13 +94,6 @@ class ExecutionConfig:
     num_workers:
         ``0`` runs locally; ``> 0`` runs on the simulated BSP cluster
         with that many workers.
-    engine:
-        Distributed message plane — ``"array"`` (struct-of-arrays
-        columns), ``"reference"`` (Python tuples), or ``"auto"`` (array
-        on CSR shards).
-    shard_backend:
-        Worker-shard adjacency storage — ``"csr"``, ``"dict"``, or
-        ``"auto"`` (CSR whenever the ids are contiguous).
     state_format:
         Distributed fit export — ``"array"``
         (:class:`~repro.core.labels_array.ArrayLabelState`), ``"dict"``
@@ -124,9 +113,7 @@ class ExecutionConfig:
         control pipes), ``"shm"`` (zero-copy shared-memory column rings),
         ``"tcp"`` (framed columns over localhost sockets), a plugin
         registered in :data:`repro.api.registry.TRANSPORTS`, or
-        ``"auto"`` (shm whenever the array plane runs multiprocess).
-        Only meaningful with ``multiprocess=True``; ``shm``/``tcp``
-        require the array message plane.
+        ``"auto"`` (shm).  Only meaningful with ``multiprocess=True``.
     fault_tolerance:
         Supervise the multiprocess engine: checkpoint a consistent cut
         every ``checkpoint_interval`` supersteps and transparently
@@ -149,8 +136,6 @@ class ExecutionConfig:
 
     backend: str = "auto"
     num_workers: int = 0
-    engine: str = "auto"
-    shard_backend: str = "auto"
     state_format: str = "auto"
     partitioner: Optional[Union[str, object]] = None
     multiprocess: bool = False
@@ -161,15 +146,11 @@ class ExecutionConfig:
     trace: bool = False
 
     def __post_init__(self):
-        from repro.api.registry import ENGINES as engine_registry
         from repro.api.registry import TRANSPORTS as transport_registry
 
         _check_choice(self.backend, BACKEND_CHOICES, "backend")
-        if self.engine not in engine_registry:  # plugin planes are selectable
-            _check_choice(self.engine, ENGINE_CHOICES, "engine")
-        if self.transport not in transport_registry:  # plugin data planes too
+        if self.transport not in transport_registry:  # plugin data planes
             _check_choice(self.transport, TRANSPORT_CHOICES, "transport")
-        _check_choice(self.shard_backend, SHARD_BACKEND_CHOICES, "shard_backend")
         _check_choice(self.state_format, STATE_FORMAT_CHOICES, "state_format")
         check_type(self.num_workers, int, "num_workers")
         if self.num_workers < 0:

@@ -7,25 +7,18 @@ choice was made (:attr:`RunPlan.decisions`), and :meth:`RunPlan.explain`
 renders that provenance for humans — the same text the CLI ``plan``
 subcommand prints.
 
-The rules are the ones the detector, cluster wrappers, and service used
-to apply in scattered private helpers (``detector._resolve_use_fast``,
-``cluster._resolve_engine``, ``cluster._build_backend_shards``), now
-asserted equivalent by ``tests/test_api_plan.py``:
+The rules, asserted by ``tests/test_api_plan.py``.  Every distributed
+run shares one substrate — CSR worker shards for any id layout and the
+columnar message plane — so only these axes are negotiated:
 
 * ``backend="auto"`` → ``fast`` iff the vertex ids are contiguous
   ``0..n-1`` (the array substrate's contract); ``fast`` on
   non-contiguous ids is an error.
-* ``shard_backend="auto"`` → ``csr`` iff the ids are contiguous; a
-  :class:`~repro.graph.csr.CSRGraph` input always takes the CSR slicer;
-  ``csr`` on non-contiguous ids is an error.
-* ``engine="auto"`` → ``array`` iff the shards resolved to CSR.
 * ``state_format="auto"`` → ``array`` iff the backend resolved to
   ``fast``; ``array`` on non-contiguous ids is an error.
-* ``transport="auto"`` → ``shm`` iff the run is multiprocess on the
-  array plane (zero-copy columns), ``pipe`` for multiprocess tuple
-  runs, ``None`` otherwise; column transports (``shm``/``tcp``) on the
-  tuple plane are an error, as is any explicit transport without
-  ``multiprocess=True``.
+* ``transport="auto"`` → ``shm`` (zero-copy columns) iff the run is
+  multiprocess, ``None`` otherwise; an explicit transport without
+  ``multiprocess=True`` is an error.
 * ``fault_tolerance=True`` → requires ``multiprocess=True`` (only the
   supervised process engine can respawn a dead worker);
   ``checkpoint_interval=None`` → 4 supersteps between cuts,
@@ -53,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.api.config import ExecutionConfig, ServicePlanConfig
-from repro.api.registry import PARTITIONERS, TRANSPORTS
+from repro.api.registry import PARTITIONERS
 
 __all__ = [
     "GraphCaps",
@@ -79,16 +72,14 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.5
 class GraphCaps:
     """What plan resolution needs to know about a graph — nothing more.
 
-    ``contiguous_ids`` is the load-bearing capability: it gates the array
-    substrate, the CSR shard slicer, and the array state export.  A
-    :class:`~repro.graph.csr.CSRGraph` is contiguous by construction
-    (``is_csr`` additionally pins the shard backend to the CSR slicer).
+    ``contiguous_ids`` is the load-bearing capability: it gates the local
+    array substrate and the array state export.  A
+    :class:`~repro.graph.csr.CSRGraph` is contiguous by construction.
     """
 
     num_vertices: int
     num_edges: int
     contiguous_ids: bool
-    is_csr: bool = False
 
     @classmethod
     def of(cls, graph) -> "GraphCaps":
@@ -100,7 +91,6 @@ class GraphCaps:
                 num_vertices=graph.num_vertices,
                 num_edges=graph.num_edges,
                 contiguous_ids=True,
-                is_csr=True,
             )
         n = graph.num_vertices
         if n == 0:
@@ -109,10 +99,7 @@ class GraphCaps:
             ids = list(graph.vertices())  # ids are unique: min/max suffice
             contiguous = min(ids) == 0 and max(ids) == n - 1
         return cls(
-            num_vertices=n,
-            num_edges=graph.num_edges,
-            contiguous_ids=contiguous,
-            is_csr=False,
+            num_vertices=n, num_edges=graph.num_edges, contiguous_ids=contiguous
         )
 
 
@@ -142,8 +129,6 @@ class RunPlan:
     mode: str  # "local" | "distributed"
     backend: str  # "fast" | "reference"
     num_workers: int
-    engine: Optional[str]  # "array" | "reference" | None (local)
-    shard_backend: Optional[str]  # "csr" | "dict" | None (local)
     state_format: Optional[str]  # "array" | "dict" | None (local)
     partitioner: Optional[str]  # registered name or instance repr
     multiprocess: bool
@@ -178,7 +163,6 @@ class RunPlan:
         trace = ", trace=on" if self.trace else ""
         return (
             f"distributed fit on {workers}, backend={self.backend}, "
-            f"engine={self.engine}, shard_backend={self.shard_backend}, "
             f"state_format={self.state_format}, partitioner={self.partitioner}"
             f"{transport}{fault}{trace}"
         )
@@ -209,8 +193,7 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
     """Negotiate every ``"auto"`` in ``config`` against ``caps``.
 
     Raises :class:`ValueError` for requests the graph cannot satisfy
-    (``fast``/``csr``/``array`` on non-contiguous ids), with the same
-    messages the old scattered resolvers produced.
+    (``fast`` or ``state_format="array"`` on non-contiguous ids).
     """
     config = config if config is not None else ExecutionConfig()
     decisions = []
@@ -245,44 +228,8 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
         + ("" if distributed else " (0 = in-process fit)"),
     )
 
-    engine = shard_backend = state_format = partitioner_name = None
+    state_format = partitioner_name = None
     if distributed:
-        # Worker-shard storage --------------------------------------------
-        if caps.is_csr:
-            shard_backend = "csr"
-            reason = "a CSRGraph input always takes the CSR slicer"
-        elif config.shard_backend == "auto":
-            shard_backend = "csr" if contiguous else "dict"
-            reason = (
-                "contiguous ids satisfy the CSR slicer contract"
-                if contiguous
-                else "non-contiguous ids require dict shards"
-            )
-        else:
-            shard_backend = config.shard_backend
-            reason = "explicitly requested"
-        if shard_backend == "csr" and not (contiguous or caps.is_csr):
-            raise ValueError(
-                "shard_backend='csr' requires contiguous vertex ids 0..n-1; "
-                f"use shard_backend='dict' or {_RELABEL_HINT}"
-            )
-        _decide(
-            decisions, "shard_backend", config.shard_backend, shard_backend, reason
-        )
-
-        # Message plane ----------------------------------------------------
-        if config.engine == "auto":
-            engine = "array" if shard_backend == "csr" else "reference"
-            reason = (
-                "CSR shards prefer the columnar message plane"
-                if engine == "array"
-                else "dict shards route reference tuples"
-            )
-        else:
-            engine = config.engine
-            reason = "explicitly requested"
-        _decide(decisions, "engine", config.engine, engine, reason)
-
         # State export format ---------------------------------------------
         if config.state_format == "auto":
             state_format = "array" if backend == "fast" else "dict"
@@ -335,22 +282,11 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
     multiprocess = config.multiprocess and distributed
     if multiprocess:
         if config.transport == "auto":
-            transport = "shm" if engine == "array" else "pipe"
-            reason = (
-                "array columns swap zero-copy through shared memory"
-                if transport == "shm"
-                else "tuple payloads only travel the control pipes"
-            )
+            transport = "shm"
+            reason = "message columns swap zero-copy through shared memory"
         else:
             transport = config.transport
             reason = "explicitly requested"
-            transport_cls = TRANSPORTS.resolve(transport)
-            if getattr(transport_cls, "array_only", False) and engine != "array":
-                raise ValueError(
-                    f"transport={transport!r} moves packed columns and "
-                    f"requires engine='array'; engine={engine!r} runs on "
-                    f"transport='pipe' only"
-                )
         _decide(decisions, "transport", config.transport, transport, reason)
     elif config.transport != "auto":
         raise ValueError(
@@ -424,8 +360,6 @@ def resolve_plan(caps: GraphCaps, config: Optional[ExecutionConfig] = None) -> R
         mode=mode,
         backend=backend,
         num_workers=config.num_workers,
-        engine=engine,
-        shard_backend=shard_backend,
         state_format=state_format,
         partitioner=partitioner_name,
         multiprocess=multiprocess,

@@ -1,7 +1,6 @@
-"""Named component registries: partitioners, BSP engines, worker programs.
+"""Named component registries: partitioners, worker programs, transports.
 
-One uniform mechanism replaces the per-module if/else ladders that used to
-map ``engine="array"`` / ``shard_backend="csr"`` strings onto classes:
+One uniform mechanism maps configuration strings onto components:
 components are registered by name, the cluster wrappers resolve them
 through :meth:`Registry.resolve`, and plugins extend any axis without
 touching repro code::
@@ -16,11 +15,9 @@ Calling conventions per registry (what a resolved component *is*):
 * :data:`PARTITIONERS` — a builder ``f(num_workers, caps) -> Partitioner``
   (``caps`` is the :class:`~repro.api.plan.GraphCaps`, so range-style
   partitioners can size themselves to the graph).
-* :data:`ENGINES` — a builder ``f(shards, partitioner) -> engine`` with
-  the in-process BSP engine interface (``run(programs)``, ``stats``).
-* :data:`PROGRAMS` — the worker-program *class* itself, keyed
-  ``"<task>/<plane>"`` (e.g. ``"rslpa/array"``); classes are returned
-  raw so multiprocess factories built from them stay picklable.
+* :data:`PROGRAMS` — the worker-program *class* itself, keyed by task
+  (``"rslpa"``, ``"slpa"``, ``"correction"``); classes are returned raw
+  so multiprocess factories built from them stay picklable.
 * :data:`TRANSPORTS` — the multiprocess data-plane :class:`~repro.
   distributed.transport.Transport` *class* (instantiated with no
   arguments per engine), e.g. ``"shm"`` for the zero-copy
@@ -42,7 +39,6 @@ from typing import Any, Callable, Dict, List
 __all__ = [
     "Registry",
     "PARTITIONERS",
-    "ENGINES",
     "PROGRAMS",
     "TRANSPORTS",
     "SERVICE_TRANSPORTS",
@@ -115,7 +111,6 @@ class Registry:
 
 
 PARTITIONERS = Registry("partitioner")
-ENGINES = Registry("bsp engine")
 PROGRAMS = Registry("worker program")
 TRANSPORTS = Registry("transport")
 SERVICE_TRANSPORTS = Registry("service transport")
@@ -141,62 +136,29 @@ PARTITIONERS.register("range", build_range_partitioner)
 
 
 # ----------------------------------------------------------------------
-# Built-in BSP engine builders.
+# Built-in worker-program classes, keyed by task.
 # ----------------------------------------------------------------------
-def build_reference_engine(shards, partitioner):
-    from repro.distributed.engine import BSPEngine
-
-    return BSPEngine(shards, partitioner)
-
-
-def build_array_engine(shards, partitioner):
-    from repro.distributed.engine_array import ArrayBSPEngine
-
-    return ArrayBSPEngine(shards, partitioner)
-
-
-ENGINES.register("reference", build_reference_engine)
-ENGINES.register("array", build_array_engine)
-
-
-# ----------------------------------------------------------------------
-# Built-in worker-program classes, keyed "<task>/<plane>".
-# ----------------------------------------------------------------------
-def _load_rslpa_reference():
-    from repro.distributed.programs import RSLPAPropagationProgram
-
-    return RSLPAPropagationProgram
-
-
-def _load_rslpa_array():
+def _load_rslpa():
     from repro.distributed.programs_array import FastRSLPAPropagationProgram
 
     return FastRSLPAPropagationProgram
 
 
-def _load_slpa_reference():
-    from repro.distributed.programs import SLPAPropagationProgram
-
-    return SLPAPropagationProgram
-
-
-def _load_slpa_array():
+def _load_slpa():
     from repro.distributed.programs_array import FastSLPAPropagationProgram
 
     return FastSLPAPropagationProgram
 
 
-def _load_correction_reference():
+def _load_correction():
     from repro.distributed.programs import CorrectionPropagationProgram
 
     return CorrectionPropagationProgram
 
 
-PROGRAMS.register_lazy("rslpa/reference", _load_rslpa_reference)
-PROGRAMS.register_lazy("rslpa/array", _load_rslpa_array)
-PROGRAMS.register_lazy("slpa/reference", _load_slpa_reference)
-PROGRAMS.register_lazy("slpa/array", _load_slpa_array)
-PROGRAMS.register_lazy("correction/reference", _load_correction_reference)
+PROGRAMS.register_lazy("rslpa", _load_rslpa)
+PROGRAMS.register_lazy("slpa", _load_slpa)
+PROGRAMS.register_lazy("correction", _load_correction)
 
 
 # ----------------------------------------------------------------------

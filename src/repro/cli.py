@@ -25,7 +25,7 @@ All subcommands share one flag vocabulary (:func:`add_algo_args` /
 (:class:`~repro.api.config.AlgoConfig`,
 :class:`~repro.api.config.ExecutionConfig`); the ``plan`` subcommand
 prints :meth:`RunPlan.explain() <repro.api.plan.RunPlan.explain>` — which
-backend/plane/shard storage the flags would resolve to, and why — without
+backend/state format/transport the flags would resolve to, and why — without
 running anything.
 
 The ``update`` subcommand loads a saved label state, applies the batch with
@@ -169,20 +169,6 @@ def add_execution_args(
         "(0 = local); results are bit-identical either way",
     )
     parser.add_argument(
-        "--dist-engine",
-        choices=("auto", "reference", "array"),
-        default="auto",
-        help="distributed message plane: 'array' routes struct-of-arrays "
-        "columns, 'reference' Python tuples; 'auto' prefers the array "
-        "plane on CSR shards",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=("auto", "dict", "csr"),
-        default="auto",
-        help="worker shard adjacency storage for distributed runs",
-    )
-    parser.add_argument(
         "--partitioner",
         default=None,
         metavar="NAME",
@@ -202,8 +188,8 @@ def add_execution_args(
         help="multiprocess data plane: 'pipe' (pickle over the control "
         "pipes), 'shm' (zero-copy shared-memory column rings), 'tcp' "
         "(framed columns over localhost sockets), a plugin from "
-        "repro.api.registry.TRANSPORTS, or 'auto' (shm on the array "
-        "plane); requires --multiprocess",
+        "repro.api.registry.TRANSPORTS, or 'auto' (shm); requires "
+        "--multiprocess",
     )
     parser.add_argument(
         "--fault-tolerance",
@@ -242,8 +228,6 @@ def execution_config_from_args(args) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
         num_workers=getattr(args, "distributed", 0),
-        engine=getattr(args, "dist_engine", "auto"),
-        shard_backend=getattr(args, "shard_backend", "auto"),
         state_format=getattr(args, "state_format", "auto"),
         partitioner=getattr(args, "partitioner", None),
         multiprocess=getattr(args, "multiprocess", False),

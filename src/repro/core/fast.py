@@ -14,7 +14,7 @@ can take over after a fast static run.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,19 +25,10 @@ from repro.core.randomness import (
     slot_hash_array,
 )
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph, build_csr_arrays
+from repro.graph.csr import CSRGraph
 from repro.utils.validation import check_non_negative, check_type
 
-__all__ = ["FastPropagator", "graph_to_csr"]
-
-
-def graph_to_csr(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted-adjacency CSR of a graph with contiguous ids ``0..n-1``.
-
-    Kept as a compatibility alias; the single builder lives in
-    :func:`repro.graph.csr.build_csr_arrays`.
-    """
-    return build_csr_arrays(graph)
+__all__ = ["FastPropagator"]
 
 
 class FastPropagator:

@@ -13,20 +13,21 @@ communication-cost experiments:
 * :func:`run_distributed_postprocess` — weights + τ2 locally per worker,
   τ1 sweep on the driver, communities via distributed hash-to-min CC.
 
-Execution selection is centralised: the per-call keywords
-(``num_workers`` / ``engine`` / ``shard_backend`` / ``state_format`` /
-``partitioner``) are shims that build an
+Every wrapper runs on the one substrate: :func:`build_csr_shards` (any
+vertex-id layout) and the columnar
+:class:`~repro.distributed.engine_array.ArrayBSPEngine`.  Execution
+selection is centralised: the per-call keywords (``num_workers`` /
+``state_format`` / ``partitioner``) are shims that build an
 :class:`~repro.api.config.ExecutionConfig` (pass ``config=`` to supply one
 directly — it takes precedence), and every ``auto`` is negotiated by
-:func:`repro.api.plan.resolve_plan`.  Engines, worker programs, and named
+:func:`repro.api.plan.resolve_plan`.  Worker programs and named
 partitioners come from :mod:`repro.api.registry`, so plugged-in components
 resolve exactly like the built-ins.  ``config.multiprocess=True`` runs the
 propagation wrappers on real OS processes
 (:class:`~repro.distributed.multiprocess.MultiprocessBSPEngine`) with
 bit-identical results and stats; ``config.transport`` picks the data
 plane those processes exchange supersteps over (``auto`` resolves to the
-zero-copy shared-memory rings whenever the array plane runs
-multiprocess).
+zero-copy shared-memory rings).
 """
 
 from __future__ import annotations
@@ -39,17 +40,16 @@ import numpy as np
 
 from repro.api.config import ExecutionConfig
 from repro.api.plan import GraphCaps, RunPlan, resolve_plan
-from repro.api.registry import ENGINES, PROGRAMS
+from repro.api.registry import PROGRAMS
 from repro.core.communities import Cover
 from repro.core.labels import NO_SOURCE, LabelState
 from repro.core.labels_array import ArrayLabelState
 from repro.core.postprocess import edge_weights, sweep_tau1, weak_threshold
 from repro.distributed.components import distributed_connected_components
-from repro.distributed.engine_array import TupleProgramAdapter
+from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.metrics import CommStats
-from repro.distributed.worker import build_csr_shards, build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.edits import EditBatch, apply_batch
 from repro.graph.partition import Partitioner
 
@@ -65,8 +65,6 @@ def _execution_config(
     config: Optional[ExecutionConfig],
     num_workers: int,
     partitioner: Optional[Union[str, Partitioner]],
-    shard_backend: str,
-    engine: str,
     state_format: str = "auto",
 ) -> ExecutionConfig:
     """The keyword shim: kwargs become a config unless one was passed.
@@ -82,17 +80,8 @@ def _execution_config(
     return ExecutionConfig(
         num_workers=num_workers,
         partitioner=partitioner,
-        shard_backend=shard_backend,
-        engine=engine,
         state_format=state_format,
     )
-
-
-def _build_shards_for(plan: RunPlan, graph, part: Partitioner):
-    """Build worker shards on the plan's (already negotiated) backend."""
-    if plan.shard_backend == "csr":
-        return build_csr_shards(graph, part)
-    return build_shards(graph, part)
 
 
 def _obs_for(plan: RunPlan):
@@ -116,56 +105,33 @@ def _attach_obs(bsp, plan: RunPlan) -> None:
     if obs is None:
         return
     obs.meta.setdefault("mode", "in-process")
-    obs.meta.setdefault("engine", plan.engine)
     obs.meta.setdefault("num_workers", plan.num_workers)
     bsp.obs = obs
     bsp.stats.obs = obs
 
 
-def _merge_collected_rslpa_state(collected: Dict[int, tuple], iterations: int) -> LabelState:
-    """Fully-recorded :class:`LabelState` from per-vertex collect() tuples.
+def _merge_array_rslpa_state(collected, iterations: int) -> LabelState:
+    """Fully-recorded :class:`LabelState` from the workers' collect() matrices.
 
-    This is the plane-agnostic merge: tuple programs, array programs, and
-    multiprocess workers all export the same per-vertex
-    ``(labels, srcs, poss)`` format.
-    """
-    state = LabelState()
-    for v, (labels, srcs, poss) in collected.items():
-        state.labels[v] = list(labels)
-        state.srcs[v] = list(srcs)
-        state.poss[v] = list(poss)
-        state.epochs[v] = [0] * len(labels)
-        state.receivers[v] = {}
-    for v, (labels, srcs, poss) in collected.items():
-        for t in range(1, len(labels)):
-            src = srcs[t]
-            if src != NO_SOURCE:
-                state.receivers[src].setdefault(poss[t], set()).add((v, t))
-    state.set_num_iterations(iterations)
-    return state
-
-
-def _merge_array_rslpa_state(programs, iterations: int) -> LabelState:
-    """Fully-recorded :class:`LabelState` from array-program matrices.
-
-    Produces exactly what :func:`_merge_collected_rslpa_state` builds from
-    per-vertex lists, but from the ``(T+1, n_local)`` matrices: sequence
-    dicts come from one ``tolist`` per matrix, and the reverse records from
-    one ``nonzero`` + ``lexsort`` group-split over all recorded slots
-    instead of a per-slot Python loop.
+    ``collected`` holds one ``(local_ids, labels, srcs, poss)`` tuple per
+    worker (:meth:`FastRSLPAPropagationProgram.collect`), in-process or
+    shipped back from worker processes.  Sequence dicts come from one
+    ``tolist`` per matrix, and the reverse records from one ``nonzero`` +
+    ``lexsort`` group-split over all recorded slots instead of a per-slot
+    Python loop.  Works for any vertex-id layout.
     """
     state = LabelState()
     ids_parts, srcs_parts, poss_parts = [], [], []
-    for program in programs:
-        if program.n_local == 0:
+    for local_ids, labels, srcs, poss in collected:
+        if len(local_ids) == 0:
             continue
-        ids_parts.append(program.local_ids)
-        srcs_parts.append(program.srcs)
-        poss_parts.append(program.poss)
-        vids = program.local_ids.tolist()
-        state.labels.update(zip(vids, program.labels.T.tolist()))
-        state.srcs.update(zip(vids, program.srcs.T.tolist()))
-        state.poss.update(zip(vids, program.poss.T.tolist()))
+        ids_parts.append(local_ids)
+        srcs_parts.append(srcs)
+        poss_parts.append(poss)
+        vids = local_ids.tolist()
+        state.labels.update(zip(vids, labels.T.tolist()))
+        state.srcs.update(zip(vids, srcs.T.tolist()))
+        state.poss.update(zip(vids, poss.T.tolist()))
         state.epochs.update((v, [0] * (iterations + 1)) for v in vids)
         state.receivers.update((v, {}) for v in vids)
     if ids_parts:
@@ -193,41 +159,47 @@ def _merge_array_rslpa_state(programs, iterations: int) -> LabelState:
     return state
 
 
-def _assemble_array_rslpa_state(programs, iterations: int) -> ArrayLabelState:
-    """:class:`ArrayLabelState` straight from array-program matrices.
+def _assemble_array_rslpa_state(collected, iterations: int) -> ArrayLabelState:
+    """:class:`ArrayLabelState` straight from the workers' collect() matrices.
 
-    The array plane's native export: per-worker ``(T+1, n_local)`` matrices
-    scatter into global matrices by vertex id and the reverse records come
-    from the state's vectorised ``reindex`` — no per-vertex Python at all.
-    Requires contiguous vertex ids ``0..n-1`` (the array-state contract).
+    The native export: per-worker ``(T+1, n_local)`` matrices scatter into
+    global matrices by vertex id and the reverse records come from the
+    state's vectorised ``reindex`` — no per-vertex Python at all.
+    Requires contiguous vertex ids ``0..n-1`` (the array-state contract,
+    enforced by :func:`~repro.api.plan.resolve_plan`).
     """
-    n = sum(program.n_local for program in programs)
-    parts = [program.local_ids for program in programs if program.n_local]
-    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if n and (int(ids.min()) < 0 or int(ids.max()) + 1 != n):
-        raise ValueError(
-            "state_format='array' requires contiguous vertex ids 0..n-1; "
-            "use state_format='dict' or repro.graph.relabel_to_integers"
-        )
+    n = sum(len(local_ids) for local_ids, *_ in collected)
     shape = (iterations + 1, n)
     labels = np.empty(shape, dtype=np.int64)
     srcs = np.empty(shape, dtype=np.int64)
     poss = np.empty(shape, dtype=np.int64)
-    for program in programs:
-        if program.n_local == 0:
-            continue
-        labels[:, program.local_ids] = program.labels
-        srcs[:, program.local_ids] = program.srcs
-        poss[:, program.local_ids] = program.poss
+    for local_ids, w_labels, w_srcs, w_poss in collected:
+        labels[:, local_ids] = w_labels
+        srcs[:, local_ids] = w_srcs
+        poss[:, local_ids] = w_poss
     return ArrayLabelState.from_matrices(labels, srcs, poss)
 
 
-def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations):
-    """Run a propagation program on real OS processes; returns (collected, stats)."""
+def _run_propagation(plan: RunPlan, graph, program_cls, seed, iterations):
+    """Run a propagation program in-process or on OS processes.
+
+    Returns ``(collected, stats)``: one ``collect()`` result per worker,
+    in worker order, plus the run's :class:`CommStats`.
+    """
+    part = plan.build_partitioner()
+    shards = build_csr_shards(graph, part)
+    if not plan.multiprocess:
+        bsp = ArrayBSPEngine(shards, part)
+        _attach_obs(bsp, plan)
+        programs = [
+            program_cls(shard, seed=seed, iterations=iterations)
+            for shard in shards
+        ]
+        bsp.run(programs)
+        return [program.collect() for program in programs], bsp.stats
+
     from repro.distributed.multiprocess import MultiprocessBSPEngine
 
-    factory = partial(program_cls, seed=seed, iterations=iterations)
-    plane = "array" if plan.engine == "array" else "tuple"
     fault_kwargs = {}
     if plan.fault_tolerance:
         # resolve_plan already made both knobs concrete for fault-tolerant
@@ -240,17 +212,13 @@ def _run_multiprocess(plan: RunPlan, shards, part, program_cls, seed, iterations
     with MultiprocessBSPEngine(
         shards,
         part,
-        factory,
-        plane=plane,
-        transport=plan.transport or "pipe",
+        partial(program_cls, seed=seed, iterations=iterations),
+        transport=plan.transport,
         obs=_obs_for(plan),
         **fault_kwargs,
     ) as engine:
         engine.run()
-        results = engine.collect()
-    collected: Dict[int, tuple] = {}
-    for worker_result in results:
-        collected.update(worker_result)
+        collected = engine.collect()
     return collected, engine.stats
 
 
@@ -260,63 +228,31 @@ def run_distributed_rslpa(
     iterations: int = 200,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     state_format: str = "dict",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Union[LabelState, ArrayLabelState], CommStats]:
     """Algorithm 1 on the simulated cluster; returns (state, comm stats).
 
     The returned state is fully recorded (provenance + reverse records) and
-    bit-identical to a sequential :class:`ReferencePropagator` run —
-    on either shard backend (``graph`` may also be a :class:`CSRGraph`),
-    on either message plane (``engine="reference"`` routes Python
-    tuples, ``"array"`` routes struct-of-arrays columns; ``"auto"`` takes
-    the array plane on CSR shards), in-process or on real OS processes
-    (``config.multiprocess``).  ``state_format="array"`` returns an
+    bit-identical to a sequential :class:`ReferencePropagator` run for any
+    vertex-id layout (``graph`` may also be a :class:`~repro.graph.csr.CSRGraph`), in-process
+    or on real OS processes (``config.multiprocess``), with identical
+    per-superstep stats either way.  ``state_format="array"`` returns an
     :class:`~repro.core.labels_array.ArrayLabelState` (contiguous ids
-    required) — the array engine's native export, assembled without any
-    per-vertex Python, and what the fast incremental lifecycle consumes.
-    All ``auto`` negotiation happens in
+    required), assembled without any per-vertex Python — what the fast
+    incremental lifecycle consumes.  All ``auto`` negotiation happens in
     :func:`repro.api.plan.resolve_plan`; ``config=`` supplies the
     :class:`~repro.api.config.ExecutionConfig` directly and overrides the
     per-axis keywords.
     """
-    cfg = _execution_config(
-        config, num_workers, partitioner, shard_backend, engine, state_format
-    )
+    cfg = _execution_config(config, num_workers, partitioner, state_format)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
-    part = plan.build_partitioner()
-    shards = _build_shards_for(plan, graph, part)
-    program_cls = PROGRAMS.resolve(f"rslpa/{plan.engine}")
-
-    if plan.multiprocess:
-        collected, stats = _run_multiprocess(
-            plan, shards, part, program_cls, seed, iterations
-        )
-        state = _merge_collected_rslpa_state(collected, iterations)
-        if plan.state_format == "array":
-            return ArrayLabelState.from_label_state(state), stats
-        return state, stats
-
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
-    _attach_obs(bsp, plan)
-    programs = [
-        program_cls(shard, seed=seed, iterations=iterations) for shard in shards
-    ]
-    bsp.run(programs)
-    if plan.engine == "array":
-        if plan.state_format == "array":
-            return _assemble_array_rslpa_state(programs, iterations), bsp.stats
-        return _merge_array_rslpa_state(programs, iterations), bsp.stats
-
-    collected: Dict[int, tuple] = {}
-    for program in programs:
-        collected.update(program.collect())
-    state = _merge_collected_rslpa_state(collected, iterations)
+    collected, stats = _run_propagation(
+        plan, graph, PROGRAMS.resolve("rslpa"), seed, iterations
+    )
     if plan.state_format == "array":
-        return ArrayLabelState.from_label_state(state), bsp.stats
-    return state, bsp.stats
+        return _assemble_array_rslpa_state(collected, iterations), stats
+    return _merge_array_rslpa_state(collected, iterations), stats
 
 
 def run_distributed_slpa(
@@ -325,31 +261,18 @@ def run_distributed_slpa(
     iterations: int = 100,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Dict[int, List[int]], CommStats]:
     """The SLPA baseline on the simulated cluster; returns (memories, stats)."""
-    cfg = _execution_config(config, num_workers, partitioner, shard_backend, engine)
+    cfg = _execution_config(config, num_workers, partitioner)
     plan = resolve_plan(GraphCaps.of(graph), cfg)
-    part = plan.build_partitioner()
-    shards = _build_shards_for(plan, graph, part)
-    program_cls = PROGRAMS.resolve(f"slpa/{plan.engine}")
-    if plan.multiprocess:
-        memories, stats = _run_multiprocess(
-            plan, shards, part, program_cls, seed, iterations
-        )
-        return memories, stats
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
-    _attach_obs(bsp, plan)
-    programs = [
-        program_cls(shard, seed=seed, iterations=iterations) for shard in shards
-    ]
-    bsp.run(programs)
+    collected, stats = _run_propagation(
+        plan, graph, PROGRAMS.resolve("slpa"), seed, iterations
+    )
     memories: Dict[int, List[int]] = {}
-    for program in programs:
-        memories.update(program.collect())
-    return memories, bsp.stats
+    for worker_memories in collected:
+        memories.update(worker_memories)
+    return memories, stats
 
 
 def run_distributed_update(
@@ -360,8 +283,6 @@ def run_distributed_update(
     batch_epoch: int = 1,
     num_workers: int = 4,
     partitioner: Optional[Union[str, Partitioner]] = None,
-    shard_backend: str = "dict",
-    engine: str = "auto",
     config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Graph, LabelState, CommStats]:
     """Algorithm 2 on the simulated cluster.
@@ -369,14 +290,13 @@ def run_distributed_update(
     Takes the *pre-batch* graph and label state; returns the updated graph,
     the repaired state (same object, mutated), and communication stats.
     ``batch_epoch`` must count batches the same way the sequential
-    :class:`CorrectionPropagator` does for the randomness to line up.
-    ``shard_backend="csr"`` requires the post-batch graph to keep
-    contiguous ids ``0..n-1`` (the plan is resolved against the
-    *post-batch* capabilities, and fails before mutating anything).
-    ``engine="array"`` runs the correction program through the columnar
-    message plane (same repairs, same stats).
+    :class:`CorrectionPropagator` does for the randomness to line up.  The
+    plan is resolved against the *post-batch* capabilities, so a request
+    the batch would invalidate fails before mutating anything.  The
+    correction program's cascade is sparse (``O(eta)`` messages), so it
+    stays a scalar program run through the engine's tuple adapter.
     """
-    cfg = _execution_config(config, num_workers, partitioner, shard_backend, engine)
+    cfg = _execution_config(config, num_workers, partitioner)
     if cfg.multiprocess:
         raise ValueError(
             "run_distributed_update repairs the caller's state in place; "
@@ -394,7 +314,6 @@ def run_distributed_update(
         num_vertices=len(post_ids),
         num_edges=graph.num_edges,
         contiguous_ids=post_contiguous,
-        is_csr=isinstance(graph, CSRGraph),
     )
     plan = resolve_plan(caps, cfg)
     new_graph = apply_batch(graph, batch)
@@ -410,8 +329,8 @@ def run_distributed_update(
                 state.epochs[v].append(0)
 
     part = plan.build_partitioner()
-    shards = _build_shards_for(plan, new_graph, part)
-    program_cls = PROGRAMS.resolve("correction/reference")
+    shards = build_csr_shards(new_graph, part)
+    program_cls = PROGRAMS.resolve("correction")
     programs = []
     for shard in shards:
         local = shard.vertices
@@ -430,15 +349,9 @@ def run_distributed_update(
                 batch_epoch=batch_epoch,
             )
         )
-    bsp = ENGINES.resolve(plan.engine)(shards, part)
+    bsp = ArrayBSPEngine(shards, part)
     _attach_obs(bsp, plan)
-    if plan.engine == "array":
-        # The correction program stays tuple-level (its cascade is sparse,
-        # O(eta) messages); the adapter runs it unmodified on the columnar
-        # plane, exercising the vectorised barrier end to end.
-        bsp.run([TupleProgramAdapter(program) for program in programs])
-    else:
-        bsp.run(programs)
+    bsp.run(programs)
     # Worker slices alias the state's own lists/dicts, so the state is
     # already repaired in place; nothing to merge back.
     return new_graph, state, bsp.stats

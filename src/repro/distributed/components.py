@@ -9,7 +9,8 @@ engine:
 * every vertex ``v`` keeps a cluster set ``C_v``, initially ``{v} ∪ N(v)``;
 * each round, ``v`` sends ``C_v`` to ``m = min(C_v)`` and ``{m}`` to every
   other member of ``C_v``; clusters are replaced by the union of received
-  sets;
+  sets.  Sets travel as fixed-width ``("set", member)`` messages, one per
+  member, so ``C_v`` costs ``|C_v|`` messages to ``m``;
 * at convergence ``min(C_v)`` is the component representative for every
   ``v`` (and the representative's cluster holds its whole component).
 
@@ -25,9 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.distributed.engine import BSPEngine, MessageContext, WorkerProgram
+from repro.distributed.engine_array import (
+    ArrayBSPEngine,
+    MessageContext,
+    WorkerProgram,
+)
 from repro.distributed.metrics import CommStats
-from repro.distributed.worker import WorkerShard, build_shards
+from repro.distributed.worker import CSRShard, build_csr_shards
 from repro.graph.adjacency import Graph
 from repro.graph.partition import HashPartitioner, Partitioner
 
@@ -39,9 +44,9 @@ Edge = Tuple[int, int]
 class HashToMinProgram(WorkerProgram):
     """Hash-to-Min connected components over one worker shard."""
 
-    def __init__(self, shard: WorkerShard):
+    def __init__(self, shard: CSRShard):
         super().__init__(shard)
-        # int() keeps cluster members plain ints on the CSR shard backend.
+        # int() keeps cluster members plain ints (shard rows are arrays).
         self.clusters: Dict[int, Set[int]] = {
             v: {v, *(int(u) for u in shard.neighbors(v))} for v in shard.vertices
         }
@@ -51,11 +56,10 @@ class HashToMinProgram(WorkerProgram):
         for v in sorted(self._dirty):
             cluster = self.clusters[v]
             m = min(cluster)
-            payload = tuple(sorted(cluster))
-            ctx.send(m, ("set", payload))
-            for u in cluster:
+            for u in sorted(cluster):
+                ctx.send(m, ("set", u))
                 if u != m:
-                    ctx.send(u, ("set", (m,)))
+                    ctx.send(u, ("set", m))
         self._dirty.clear()
 
     def on_start(self, ctx: MessageContext) -> None:
@@ -65,8 +69,8 @@ class HashToMinProgram(WorkerProgram):
         self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
     ) -> None:
         received: Dict[int, Set[int]] = {}
-        for dst, _kind, members in inbox:
-            received.setdefault(dst, set()).update(members)
+        for dst, _kind, member in inbox:
+            received.setdefault(dst, set()).add(member)
         for v, incoming in received.items():
             if not incoming <= self.clusters[v]:
                 # Monotone variant: clusters only grow, so delta-sending
@@ -121,8 +125,8 @@ def distributed_connected_components(
         )
     else:
         part = partitioner or HashPartitioner(num_workers)
-    shards = build_shards(filtered, part)
-    engine = BSPEngine(shards, part)
+    shards = build_csr_shards(filtered, part)
+    engine = ArrayBSPEngine(shards, part)
     programs = [HashToMinProgram(shard) for shard in shards]
     engine.run(programs)
     representative: Dict[int, int] = {}

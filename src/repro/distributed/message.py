@@ -1,13 +1,15 @@
-"""Message representation and size accounting for the BSP engine.
+"""Scalar message representation and the wire-size model.
 
-Messages are plain ``(dst_vertex, payload)`` pairs — the payload is a tuple
-of ints/strs.  Keeping them as tuples (instead of a dataclass) matters: the
-engine routes millions of them in the larger benches.
+A scalar program's message is a ``(dst_vertex, payload)`` pair whose
+payload is ``(kind, *ints)`` (see
+:class:`~repro.distributed.engine_array.MessageContext`).
 
-:func:`payload_size_bytes` provides the byte estimate used by the
+:func:`payload_size_bytes` is the byte estimate behind the
 communication-cost accounting (8 bytes per integer field, UTF-8 length for
 strings, plus an 8-byte vertex address) — a deliberately simple serialised
-size model matching how the paper counts "labels passing through the graph".
+size model matching how the paper counts "labels passing through the
+graph".  Each :class:`~repro.distributed.message_array.MessageSchema`
+derives its fixed per-message size from it.
 """
 
 from __future__ import annotations

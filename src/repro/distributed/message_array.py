@@ -1,28 +1,23 @@
-"""Columnar message plane: typed schemas, array buffers, vectorised routing.
+"""The message plane: typed schemas, array buffers, vectorised routing.
 
-The reference BSP engine materialises every message as a Python tuple and
-routes them one ``partitioner.owner()`` call at a time.  This module is the
-array alternative: each message *kind* has a :class:`MessageSchema` fixing
-its integer payload fields, senders accumulate messages as struct-of-arrays
-``int64`` columns (:class:`ArrayMessageContext`), and the superstep barrier
+Each message *kind* has a :class:`MessageSchema` fixing its integer
+payload fields, senders accumulate messages as struct-of-arrays ``int64``
+columns (:class:`ArrayMessageContext`), and the superstep barrier
 (:func:`route_columns`) routes a whole outbox with a handful of numpy
-passes — one :meth:`~repro.graph.partition.Partitioner.owner_array` gather
-over the destination column, ``np.bincount`` for the per-worker split, and
-one lexsort per kind for deterministic inbox order.
-
-Equivalence with the tuple plane is exact and is what the test suite
-asserts:
+passes — one :meth:`~repro.graph.partition.Partitioner.owner_array`
+gather over the destination column, ``np.bincount`` for the per-worker
+split, and one lexsort per kind for deterministic inbox order.
 
 * **accounting** — a kind's wire size is fixed by its schema
-  (``address + kind tag + 8 bytes per field``), matching
-  :func:`repro.distributed.message.message_size_bytes` on the equivalent
-  tuple, so per-superstep :class:`~repro.distributed.metrics.SuperstepStats`
-  are identical counter for counter;
+  (``address + kind tag + 8 bytes per field``, the
+  :func:`repro.distributed.message.message_size_bytes` model), so a
+  superstep's bytes are ``schema size × count`` per kind, and a message
+  is remote iff its destination's owner differs from the sender;
 * **ordering** — within a kind, inbox rows are lexicographically sorted by
-  ``(dst, fields...)``; merging kinds in ascending kind-string order
-  reproduces the reference engine's fully sorted tuple inbox
-  (:meth:`ArrayInbox.to_sorted_tuples`), which is how tuple programs run
-  unchanged on the array engine.
+  ``(dst, fields...)``; merging kinds in ascending kind-string order gives
+  the fully sorted ``(dst, kind, *fields)`` tuple inbox
+  (:meth:`ArrayInbox.to_sorted_tuples`) that scalar programs receive
+  through :class:`~repro.distributed.engine_array.TupleProgramAdapter`.
 """
 
 from __future__ import annotations
@@ -65,10 +60,10 @@ class MessageSchema:
     def message_bytes(self) -> int:
         """Wire size of one message of this kind.
 
-        Computed *through* the tuple plane's
-        :func:`~repro.distributed.message.message_size_bytes` on a
-        representative tuple, so the per-schema accounting is identical to
-        the per-message accounting by construction.
+        Computed with :func:`~repro.distributed.message.message_size_bytes`
+        on a representative ``(dst, (kind, *fields))`` tuple, so the
+        schema accounting and the per-message size model agree by
+        construction.
         """
         return message_size_bytes((0, (self.kind,) + (0,) * self.width))
 
@@ -100,6 +95,8 @@ register_schema("unreg", ("pos", "tar", "k"))
 register_schema("fetch", ("pos", "tar", "k"))
 register_schema("fval", ("label", "k", "src", "pos", "version"))
 register_schema("corr", ("label", "k", "src", "pos", "version"))
+# Hash-to-Min connected components: one cluster member per message.
+register_schema("set", ("member",))
 
 
 class _ColumnBuffer:
@@ -171,11 +168,10 @@ ArrayOutbox = Dict[str, Tuple[np.ndarray, ...]]
 class ArrayMessageContext:
     """Collects one worker's sends as per-kind growing int64 columns.
 
-    The columnar sibling of
-    :class:`~repro.distributed.engine.MessageContext`: array programs emit
-    whole column batches via :meth:`send_columns`; the scalar :meth:`send`
-    accepts reference-style ``(kind, *ints)`` payload tuples so tuple
-    programs can run on the array plane through an adapter.
+    Array programs emit whole column batches via :meth:`send_columns`; the
+    scalar :meth:`send` accepts ``(kind, *ints)`` payload tuples, which is
+    how :class:`~repro.distributed.engine_array.TupleProgramAdapter`
+    forwards a scalar program's sends.
     """
 
     __slots__ = ("_buffers",)
@@ -190,7 +186,7 @@ class ArrayMessageContext:
             if schema is None:
                 raise KeyError(
                     f"unknown message kind {kind!r}; register_schema() it "
-                    "before sending on the array plane"
+                    "before sending it"
                 )
             buffer = self._buffers[kind] = _ColumnBuffer(schema)
         return buffer
@@ -202,7 +198,7 @@ class ArrayMessageContext:
         self._buffer(kind).append_columns(dst, cols)
 
     def send(self, dst_vertex: int, payload: tuple) -> None:
-        """Tuple-plane compatible scalar send (``payload[0]`` is the kind)."""
+        """Scalar send of one ``(kind, *ints)`` payload."""
         self._buffer(payload[0]).append_row(int(dst_vertex), payload[1:])
 
     @property
@@ -222,7 +218,7 @@ class ArrayInbox:
     """One worker's per-superstep inbox in columnar form.
 
     Per kind, rows are sorted lexicographically by ``(dst, fields...)`` —
-    the reference engine's tuple order restricted to that kind.
+    the full tuple order restricted to that kind.
     """
 
     __slots__ = ("_columns",)
@@ -260,10 +256,10 @@ class ArrayInbox:
         )
 
     def to_sorted_tuples(self) -> List[tuple]:
-        """The reference engine's sorted tuple inbox, reconstructed exactly.
+        """The fully sorted scalar inbox of :class:`WorkerProgram` subclasses.
 
         Rows become ``(dst, kind, *fields)`` tuples of plain Python ints;
-        the full sort merges kinds into the reference order (tuples compare
+        the full sort merges kinds into one order (tuples compare
         ``(dst, kind-string, ints...)``, and rows of equal dst and kind
         have identical widths).
         """
@@ -320,8 +316,7 @@ def route_columns(
         )
         owners = partitioner.owner_array(dst)
         if int(owners.min()) < 0 or int(owners.max()) >= num_partitions:
-            # Fail as loudly as the reference engine's inboxes[owner] KeyError
-            # would: a partitioner bug must not silently drop messages.
+            # A partitioner bug must not silently drop messages.
             bad = dst[(owners < 0) | (owners >= num_partitions)]
             raise ValueError(
                 f"partitioner assigned owners outside 0..{num_partitions - 1} "

@@ -1,165 +1,25 @@
-"""Distributed vertex programs: Algorithms 1 and 2 over the BSP engine.
+"""Distributed Correction Propagation: Algorithm 2 over the BSP engine.
 
-Three programs, all bit-compatible with their sequential counterparts (the
-test suite asserts exact state equality):
-
-* :class:`RSLPAPropagationProgram` — Algorithm 1's fetch protocol.  Each
-  iteration is two supersteps: every vertex sends one ``(src, pos)`` request
-  and receives one label back, so the per-iteration message volume is
-  ``2·|V|`` — the paper's ``O(|V|)`` communication claim (Section III-A).
-* :class:`SLPAPropagationProgram` — the baseline's push protocol: one spoken
-  label per *directed edge* per iteration, ``2·|E|`` messages — the
-  ``O(|E|)`` cost rSLPA improves on.
-* :class:`CorrectionPropagationProgram` — Algorithm 2: repick requests,
-  record maintenance (register/unregister), label fetches and correction
-  cascades, quiescing when every buffer drains (message volume ``O(η)``).
+:class:`CorrectionPropagationProgram` — repick requests, record
+maintenance (register/unregister), label fetches and correction cascades,
+quiescing when every buffer drains (message volume ``O(η)``).  Its
+cascade is sparse, so it is a scalar :class:`~repro.distributed.
+engine_array.WorkerProgram` that the engine runs through the
+:class:`~repro.distributed.engine_array.TupleProgramAdapter`; the test
+suite asserts its fixpoint equals the sequential
+:class:`~repro.core.incremental.CorrectionPropagator` exactly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.baselines.slpa import _SEND, _TIE
 from repro.core.incremental import keep_lottery_uniform, repick_draw
 from repro.core.labels import NO_SOURCE
-from repro.core.randomness import draw_position, draw_src_index, slot_hash
-from repro.distributed.engine import MessageContext, WorkerProgram
-from repro.distributed.worker import WorkerShard
+from repro.distributed.engine_array import MessageContext, WorkerProgram
+from repro.distributed.worker import CSRShard
 
-__all__ = [
-    "RSLPAPropagationProgram",
-    "SLPAPropagationProgram",
-    "CorrectionPropagationProgram",
-]
-
-
-class RSLPAPropagationProgram(WorkerProgram):
-    """Algorithm 1 as mappers/reducers (fetch protocol).
-
-    Message kinds:
-      ``(dst, "req", pos, requester, t)`` — requester asks dst for l_dst^pos;
-      ``(dst, "lab", label, src, pos, t)`` — the reply, appended at dst.
-    """
-
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
-        super().__init__(shard)
-        self.seed = seed
-        self.iterations = iterations
-        self.labels: Dict[int, List[int]] = {v: [v] for v in shard.vertices}
-        self.srcs: Dict[int, List[int]] = {v: [NO_SOURCE] for v in shard.vertices}
-        self.poss: Dict[int, List[int]] = {v: [NO_SOURCE] for v in shard.vertices}
-
-    def _send_requests(self, ctx: MessageContext, t: int) -> None:
-        for v in sorted(self.shard.vertices):
-            nbrs = self.shard.neighbors(v)
-            if len(nbrs) == 0:
-                continue  # fallback slots are padded at collect()
-            h = slot_hash(self.seed, v, t, 0)
-            # int() keeps hashes and messages identical on the CSR backend,
-            # whose neighbour sequences are numpy arrays.
-            src = int(nbrs[draw_src_index(h, len(nbrs))])
-            pos = draw_position(h, t)
-            ctx.send(src, ("req", pos, v, t))
-
-    def on_start(self, ctx: MessageContext) -> None:
-        if self.iterations >= 1:
-            self._send_requests(ctx, 1)
-
-    def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
-    ) -> None:
-        advanced_t: Optional[int] = None
-        for message in inbox:
-            kind = message[1]
-            if kind == "lab":
-                dst, _kind, label, src, pos, t = message
-                self.labels[dst].append(label)
-                self.srcs[dst].append(src)
-                self.poss[dst].append(pos)
-                advanced_t = t
-            elif kind == "req":
-                dst, _kind, pos, requester, t = message
-                ctx.send(requester, ("lab", self.labels[dst][pos], dst, pos, t))
-            else:  # pragma: no cover - protocol violation
-                raise ValueError(f"unknown message kind {kind!r}")
-        if advanced_t is not None and advanced_t < self.iterations:
-            self._send_requests(ctx, advanced_t + 1)
-
-    def collect(self) -> dict:
-        """Per-vertex (labels, srcs, poss), degree-0 vertices padded."""
-        result = {}
-        for v in self.shard.vertices:
-            labels, srcs, poss = self.labels[v], self.srcs[v], self.poss[v]
-            while len(labels) < self.iterations + 1:  # degree-0 fallback
-                labels.append(labels[0])
-                srcs.append(NO_SOURCE)
-                poss.append(NO_SOURCE)
-            result[v] = (labels, srcs, poss)
-        return result
-
-
-class SLPAPropagationProgram(WorkerProgram):
-    """The SLPA baseline's push protocol (one label per directed edge).
-
-    Message kind: ``(listener, "spk", label, t)``.  Speaker draws and the
-    plurality tie-break reuse the exact counter-based hashes of
-    :class:`repro.baselines.slpa.SLPA`, so memories match bit-for-bit.
-    """
-
-    def __init__(self, shard: WorkerShard, seed: int, iterations: int):
-        super().__init__(shard)
-        self.seed = seed
-        self.iterations = iterations
-        self.memories: Dict[int, List[int]] = {v: [v] for v in shard.vertices}
-
-    def _speak(self, ctx: MessageContext, t: int) -> None:
-        for speaker in sorted(self.shard.vertices):
-            memory = self.memories[speaker]
-            for listener in self.shard.neighbors(speaker):
-                listener = int(listener)  # CSR backend yields numpy ints
-                h = slot_hash(
-                    self.seed ^ _SEND, speaker * 0x1F1F1F1F + listener, t, 0
-                )
-                pos = draw_position(h, t)
-                ctx.send(listener, ("spk", memory[pos], t))
-
-    def on_start(self, ctx: MessageContext) -> None:
-        if self.iterations >= 1:
-            self._speak(ctx, 1)
-
-    def on_superstep(
-        self, ctx: MessageContext, superstep: int, inbox: Sequence[tuple]
-    ) -> None:
-        if not inbox:
-            return
-        received: Dict[int, List[int]] = {}
-        t = inbox[0][3]
-        for listener, _kind, label, msg_t in inbox:
-            if msg_t != t:  # pragma: no cover - protocol violation
-                raise ValueError("mixed-iteration SLPA inbox")
-            received.setdefault(listener, []).append(label)
-        for listener, labels in received.items():
-            counts = Counter(labels)
-            best = max(counts.values())
-            winners = sorted(l for l, c in counts.items() if c == best)
-            if len(winners) == 1:
-                choice = winners[0]
-            else:
-                h = slot_hash(self.seed ^ _TIE, listener, t, 0)
-                choice = winners[draw_src_index(h, len(winners))]
-            self.memories[listener].append(choice)
-        if t < self.iterations:
-            self._speak(ctx, t + 1)
-
-    def collect(self) -> dict:
-        result = {}
-        for v in self.shard.vertices:
-            memory = self.memories[v]
-            while len(memory) < self.iterations + 1:  # degree-0 fallback
-                memory.append(memory[0])
-            result[v] = memory
-        return result
+__all__ = ["CorrectionPropagationProgram"]
 
 
 class CorrectionPropagationProgram(WorkerProgram):
@@ -191,7 +51,7 @@ class CorrectionPropagationProgram(WorkerProgram):
 
     def __init__(
         self,
-        shard: WorkerShard,
+        shard: CSRShard,
         seed: int,
         iterations: int,
         labels: Dict[int, List[int]],

@@ -4,13 +4,12 @@
 *control* from *data*: tiny command verbs (``start``/``step``/``collect``/
 ``stop``) always travel over a per-worker ``multiprocessing.Pipe``, while
 the superstep payloads — the per-kind int64 column outboxes and inboxes of
-the array message plane — go through a pluggable :class:`Transport`.
+the message plane — go through a pluggable :class:`Transport`.
 Three built-ins register in :data:`repro.api.registry.TRANSPORTS`:
 
 ``pipe``
-    The reference data plane: payloads piggyback on the control pipe as
-    pickles (exactly the pre-transport behaviour).  The only transport
-    that also carries the tuple plane's list outboxes.
+    The reference data plane: the column payloads piggyback on the
+    control pipe as pickles (exactly the pre-transport behaviour).
 ``shm``
     Zero-copy shared memory.  Each direction of each worker owns a
     double-buffered ring of ``multiprocessing.shared_memory`` segments;
@@ -126,9 +125,6 @@ class Transport:
     """
 
     name = "base"
-    #: Column transports move typed int64 columns and therefore require
-    #: ``plane="array"``; only the pipe transport carries tuple payloads.
-    array_only = True
     #: Observability context (:class:`repro.obs.Obs`) the engine attaches
     #: when the run is traced; ``None`` keeps every data-plane path free
     #: of metric calls.
@@ -212,7 +208,6 @@ class PipeTransport(Transport):
     """Payloads piggyback on the control pipe as pickles (the baseline)."""
 
     name = "pipe"
-    array_only = False
 
     def worker_endpoint(self, worker_id: int) -> "PipeWorkerEndpoint":
         return PipeWorkerEndpoint()

@@ -1,35 +1,31 @@
 """Worker shards: the per-machine state of the simulated cluster.
 
-A :class:`WorkerShard` owns a set of vertices and their adjacency (the
-outgoing half of every incident edge, as in an edge-cut partitioning — each
-worker can enumerate its vertices' neighbours locally but must message the
-neighbour's owner to touch its state, exactly the Spark/Pregel model the
-paper runs on).
+A :class:`CSRShard` owns a set of vertices and their adjacency (the
+outgoing half of every incident edge, as in an edge-cut partitioning —
+each worker can enumerate its vertices' neighbours locally but must
+message the neighbour's owner to touch its state, exactly the
+Spark/Pregel model the paper runs on).  The adjacency is a local
+``indptr``/``indices`` pair over *global* neighbour ids, ascending within
+each row, so BSP programs scan arrays instead of dict sets.
 
-Two storage backends share the same shard API:
-
-* :class:`WorkerShard` — dict of sorted neighbour lists, built from the
-  mutable :class:`~repro.graph.adjacency.Graph` (works for arbitrary ids);
-* :class:`CSRShard` — local ``indptr``/``indices`` arrays sliced straight
-  out of a :class:`~repro.graph.csr.CSRGraph` by
-  :func:`repro.graph.partition.slice_csr`, so BSP programs scan arrays
-  instead of dict sets.
-
-Both are picklable and yield identical neighbour *sequences* (ascending),
-so every program produces bit-identical results on either backend.
+:func:`build_csr_shards` takes any graph: a :class:`~repro.graph.csr.
+CSRGraph` or a graph with contiguous ids ``0..n-1`` is sliced with
+:func:`repro.graph.partition.slice_csr`; any other id layout is converted
+per vertex.  Both paths yield the same arrays, and shards are picklable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
+from repro.api.plan import GraphCaps
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioner, slice_csr
 
-__all__ = ["WorkerShard", "CSRShard", "build_shards", "build_csr_shards"]
+__all__ = ["CSRShard", "build_csr_shards"]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -39,54 +35,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-class WorkerShard:
-    """One worker's slice of the graph (picklable for the MP backend)."""
+class CSRShard:
+    """One worker's slice of the graph (picklable for the MP backend).
 
-    __slots__ = ("worker_id", "vertices", "adjacency")
-
-    def __init__(self, worker_id: int, vertices: FrozenSet[int], adjacency: Dict[int, List[int]]):
-        self.worker_id = worker_id
-        self.vertices = vertices
-        self.adjacency = adjacency  # vertex -> sorted neighbour list
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> Sequence[int]:
-        """Ascending neighbour sequence (do not mutate)."""
-        return self.adjacency[v]
-
-    def owns(self, v: int) -> bool:
-        return v in self.vertices
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def local_edges(self) -> int:
-        """Incident edge endpoints stored on this worker."""
-        return sum(len(nbrs) for nbrs in self.adjacency.values())
-
-    def describe(self) -> str:
-        """One-line supervisor-facing description (respawn/recovery logs)."""
-        return (
-            f"{type(self).__name__} {self.worker_id}: "
-            f"{self.num_vertices} vertices, {self.local_edges()} edge endpoints"
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(id={self.worker_id}, |V|={self.num_vertices})"
-
-
-class CSRShard(WorkerShard):
-    """A worker shard whose local adjacency is a CSR array pair.
-
-    ``local_ids[r]`` owns row ``r`` of ``(indptr, indices)``; ``indices``
-    holds *global* neighbour ids, ascending within each row, exactly like
-    the dict backend's sorted lists.
+    ``local_ids[r]`` owns row ``r`` of ``(indptr, indices)``; ``local_ids``
+    is ascending and ``indices`` holds *global* neighbour ids, ascending
+    within each row.
     """
 
-    __slots__ = ("local_ids", "indptr", "indices", "_row_of")
+    __slots__ = ("worker_id", "vertices", "local_ids", "indptr", "indices", "_row_of")
 
     def __init__(
         self,
@@ -101,9 +58,10 @@ class CSRShard(WorkerShard):
         # The shard then stores read-only *views* (freezing the view, not
         # the caller's array), so neighbors() hands out immutable slices
         # and program code cannot silently corrupt the shared adjacency.
+        self.worker_id = worker_id
         self.local_ids = _read_only(np.asarray(local_ids, dtype=np.int64))
         ids = self.local_ids.tolist()
-        super().__init__(worker_id, frozenset(ids), {})
+        self.vertices = frozenset(ids)
         self.indptr = _read_only(np.asarray(indptr, dtype=np.int64))
         self.indices = _read_only(np.asarray(indices, dtype=np.int64))
         self._row_of = {v: r for r, v in enumerate(ids)}
@@ -117,35 +75,58 @@ class CSRShard(WorkerShard):
         r = self._row_of[v]
         return self.indices[self.indptr[r] : self.indptr[r + 1]]
 
+    def owns(self, v: int) -> bool:
+        return v in self.vertices
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
     def local_edges(self) -> int:
+        """Incident edge endpoints stored on this worker."""
         return len(self.indices)
 
-
-def build_shards(graph: Graph, partitioner: Partitioner) -> List[WorkerShard]:
-    """Partition a graph into dict-backed shards (sorted adjacency lists)."""
-    groups = partitioner.partition(graph.vertices())
-    shards: List[WorkerShard] = []
-    for worker_id in range(partitioner.num_partitions):
-        local = groups.get(worker_id, [])
-        adjacency = {v: sorted(graph.neighbors_view(v)) for v in local}
-        shards.append(
-            WorkerShard(worker_id, frozenset(local), adjacency)
+    def describe(self) -> str:
+        """One-line supervisor-facing description (respawn/recovery logs)."""
+        return (
+            f"{type(self).__name__} {self.worker_id}: "
+            f"{self.num_vertices} vertices, {self.local_edges()} edge endpoints"
         )
-    return shards
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(id={self.worker_id}, |V|={self.num_vertices})"
+
+
+def _convert_shard(graph: Graph, worker_id: int, local: List[int]) -> CSRShard:
+    """One shard from per-vertex sorted neighbour lists (any id layout)."""
+    ids = sorted(local)
+    rows = [sorted(graph.neighbors_view(v)) for v in ids]
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.fromiter(
+        (u for row in rows for u in row), dtype=np.int64, count=int(indptr[-1])
+    )
+    return CSRShard(worker_id, np.asarray(ids, dtype=np.int64), indptr, indices)
 
 
 def build_csr_shards(
     graph: Union[Graph, CSRGraph], partitioner: Partitioner
 ) -> List[CSRShard]:
-    """Partition a graph into CSR-backed shards (array local adjacency).
+    """Partition any graph into CSR-backed shards, one per partition.
 
-    Accepts a ready :class:`CSRGraph` snapshot or a mutable :class:`Graph`
-    (snapshotted first; requires contiguous ids ``0..n-1``).
+    A :class:`CSRGraph` snapshot, or a :class:`Graph` with contiguous ids
+    ``0..n-1``, is sliced with array ops; any other graph is converted one
+    vertex at a time.
     """
-    csr = CSRGraph.coerce(graph)
+    if GraphCaps.of(graph).contiguous_ids:
+        return [
+            CSRShard(worker_id, local_ids, indptr, indices)
+            for worker_id, (local_ids, indptr, indices) in enumerate(
+                slice_csr(CSRGraph.coerce(graph), partitioner)
+            )
+        ]
+    groups = partitioner.partition(graph.vertices())
     return [
-        CSRShard(worker_id, local_ids, indptr, indices)
-        for worker_id, (local_ids, indptr, indices) in enumerate(
-            slice_csr(csr, partitioner)
-        )
+        _convert_shard(graph, worker_id, groups[worker_id])
+        for worker_id in range(partitioner.num_partitions)
     ]

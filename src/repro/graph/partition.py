@@ -50,15 +50,10 @@ class Partitioner:
 
         The canonical vectorised hook: both built-in partitioners override
         it with pure array ops (it sits on the hot routing path of the
-        columnar BSP engine, which gathers the owner of every message
-        destination in one call per superstep).  The base implementation
-        dispatches through the legacy :meth:`owners_array` name so PR-1
-        subclasses that overrode *that* keep their vectorised form.
+        BSP engine, which gathers the owner of every message destination
+        in one call per superstep).  The base implementation is a generic
+        per-element fallback over :meth:`owner`.
         """
-        return self.owners_array(vertices)
-
-    def owners_array(self, vertices: np.ndarray) -> np.ndarray:
-        """Legacy name of :meth:`owner_array`; generic per-element fallback."""
         return np.fromiter(
             (self.owner(int(v)) for v in vertices),
             dtype=np.int64,

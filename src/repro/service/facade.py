@@ -256,12 +256,7 @@ class CommunityService:
         """The detector's resolved execution plan for the live graph."""
         return self.detector.plan()
 
-    def start(
-        self,
-        num_workers: Optional[int] = None,
-        dist_engine: Optional[str] = None,
-        shard_backend: Optional[str] = None,
-    ) -> "CommunityService":
+    def start(self, num_workers: Optional[int] = None) -> "CommunityService":
         """Fit the detector (locally, or on ``num_workers`` BSP workers),
         build the first extraction, and write the baseline checkpoint.
 
@@ -274,11 +269,7 @@ class CommunityService:
         if num_workers is None:
             num_workers = self.execution.num_workers
         if num_workers:
-            self.detector.fit_distributed(
-                num_workers=num_workers,
-                engine=dist_engine,
-                shard_backend=shard_backend,
-            )
+            self.detector.fit_distributed(num_workers=num_workers)
         else:
             self.detector.fit()
         if self.obs is not None:

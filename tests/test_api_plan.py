@@ -4,12 +4,13 @@ Three contracts are pinned here:
 
 1. **Matrix equivalence** — ``resolve_plan`` makes exactly the choices the
    old scattered resolvers (``detector._resolve_use_fast``,
-   ``cluster._resolve_engine``, ``cluster._build_backend_shards``,
-   ``fit_distributed``'s state-format pick) made, for every
-   (backend × engine × shard_backend × contiguity × multiprocess) cell.
-2. **Shim round-trips** — every pre-existing public keyword still works,
-   maps onto the same ``RunPlan``, warns where deprecated, and produces
-   bit-identical covers per seed.
+   ``fit_distributed``'s state-format pick) made, for every cell of the
+   old (backend × engine × shard_backend × contiguity × multiprocess)
+   matrix.  The engine and shard_backend axes are retired: every cell
+   must refuse them at config time and resolve to the one substrate.
+2. **Shim round-trips** — every public keyword maps onto the same
+   ``RunPlan`` as its config form and produces bit-identical covers per
+   seed.
 3. **Registry** — components resolve by name, plugins register uniformly,
    collisions and unknown names fail loudly.
 """
@@ -39,31 +40,17 @@ from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 ITERATIONS = 25
 
 
-def oracle(backend, engine, shard_backend, contiguous, is_csr=False):
-    """The pre-PR-5 scattered resolvers, replicated verbatim.
+def oracle(backend, contiguous):
+    """The resolution rules, restated: returns (use_fast, state_format).
 
-    Returns (use_fast, shard_backend, engine, state_format) or raises
-    ValueError exactly where the old code paths did.
+    Raises ValueError exactly where a plan must be refused.  Every
+    distributed plan runs on CSR shards and the columnar message plane,
+    so nothing else depends on the id layout.
     """
-    # detector._resolve_use_fast
     if backend == "fast" and not contiguous:
         raise ValueError("contiguous")
     use_fast = backend == "fast" or (backend == "auto" and contiguous)
-    # cluster._build_backend_shards (a CSRGraph input always took CSR)
-    sb = shard_backend
-    if sb == "auto":
-        sb = "csr" if (contiguous or is_csr) else "dict"
-    if is_csr:
-        sb = "csr"
-    if sb == "csr" and not (contiguous or is_csr):
-        raise ValueError("contiguous")
-    # cluster._resolve_engine (auto prefers the columnar plane on CSR shards)
-    eng = engine
-    if eng == "auto":
-        eng = "array" if sb == "csr" else "reference"
-    # detector.fit_distributed's state-format pick
-    sf = "array" if use_fast else "dict"
-    return use_fast, sb, eng, sf
+    return use_fast, "array" if use_fast else "dict"
 
 
 class TestResolutionMatrix:
@@ -82,20 +69,21 @@ class TestResolutionMatrix:
     def test_matches_old_resolvers(
         self, backend, engine, shard_backend, contiguous, multiprocess
     ):
+        # The retired axes are refused whatever value a caller asks for,
+        # so no old (engine, shard_backend) request can change the plan.
+        for axis, value in (("engine", engine), ("shard_backend", shard_backend)):
+            with pytest.raises(TypeError, match=axis):
+                ExecutionConfig(
+                    backend=backend, num_workers=3, **{axis: value}
+                )
         caps = GraphCaps(
             num_vertices=10, num_edges=20, contiguous_ids=contiguous
         )
         config = ExecutionConfig(
-            backend=backend,
-            num_workers=3,
-            engine=engine,
-            shard_backend=shard_backend,
-            multiprocess=multiprocess,
+            backend=backend, num_workers=3, multiprocess=multiprocess
         )
         try:
-            use_fast, sb, eng, sf = oracle(
-                backend, engine, shard_backend, contiguous
-            )
+            use_fast, sf = oracle(backend, contiguous)
         except ValueError:
             with pytest.raises(ValueError, match="contiguous"):
                 resolve_plan(caps, config)
@@ -103,29 +91,35 @@ class TestResolutionMatrix:
         plan = resolve_plan(caps, config)
         assert plan.use_fast == use_fast
         assert plan.backend == ("fast" if use_fast else "reference")
-        assert plan.shard_backend == sb
-        assert plan.engine == eng
         assert plan.state_format == sf
         assert plan.multiprocess == multiprocess
+        assert plan.transport == ("shm" if multiprocess else None)
         assert plan.mode == "distributed"
+        assert not hasattr(plan, "engine")
+        assert not hasattr(plan, "shard_backend")
 
     def test_local_plan_has_no_distributed_axes(self):
         caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=True)
         plan = resolve_plan(caps, ExecutionConfig())
         assert plan.mode == "local"
-        assert plan.engine is None
-        assert plan.shard_backend is None
         assert plan.state_format is None
+        assert plan.partitioner is None
+        assert plan.transport is None
 
-    def test_csr_input_always_takes_csr_slicer(self):
-        caps = GraphCaps(
-            num_vertices=4, num_edges=3, contiguous_ids=True, is_csr=True
-        )
-        plan = resolve_plan(
-            caps, ExecutionConfig(num_workers=2, shard_backend="dict")
-        )
-        assert plan.shard_backend == "csr"
-        assert "CSRGraph" in plan.explain()
+    def test_csr_input_always_takes_csr_slicer(self, cliques_ring):
+        from repro.distributed.worker import build_csr_shards
+        from repro.graph.partition import slice_csr
+
+        csr = CSRGraph.from_graph(cliques_ring)
+        part = HashPartitioner(3)
+        plan = plan_for(csr, ExecutionConfig(num_workers=3))
+        assert plan.backend == "fast" and plan.state_format == "array"
+        for shard, (ids, indptr, indices) in zip(
+            build_csr_shards(csr, part), slice_csr(csr, part)
+        ):
+            assert shard.local_ids.tolist() == ids.tolist()
+            assert shard.indptr.tolist() == indptr.tolist()
+            assert shard.indices.tolist() == indices.tolist()
 
     def test_explicit_array_state_format_needs_contiguous_ids(self):
         caps = GraphCaps(num_vertices=4, num_edges=3, contiguous_ids=False)
@@ -133,20 +127,17 @@ class TestResolutionMatrix:
             resolve_plan(
                 caps,
                 ExecutionConfig(
-                    backend="reference",
-                    num_workers=2,
-                    shard_backend="dict",
-                    state_format="array",
+                    backend="reference", num_workers=2, state_format="array"
                 ),
             )
 
     def test_invalid_choices_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="backend"):
             ExecutionConfig(backend="spark")
-        with pytest.raises(ValueError, match="engine"):
-            ExecutionConfig(engine="spark")
-        with pytest.raises(ValueError, match="shard_backend"):
-            ExecutionConfig(shard_backend="arrow")
+        with pytest.raises(TypeError, match="engine"):
+            ExecutionConfig(engine="array")  # retired axis
+        with pytest.raises(TypeError, match="shard_backend"):
+            ExecutionConfig(shard_backend="csr")  # retired axis
         with pytest.raises(ValueError, match="state_format"):
             ExecutionConfig(state_format="parquet")
         with pytest.raises(ValueError, match="num_workers"):
@@ -165,22 +156,10 @@ class TestResolutionMatrix:
         assert not GraphCaps.of(Graph.from_edges([(10, 20)])).contiguous_ids
         assert GraphCaps.of(Graph()).contiguous_ids  # empty graph is trivial
         csr = CSRGraph.from_graph(Graph.from_edges([(0, 1)]))
-        caps = GraphCaps.of(csr)
-        assert caps.is_csr and caps.contiguous_ids
+        assert GraphCaps.of(csr).contiguous_ids
 
 
 class TestDeprecationShims:
-    def test_detector_engine_alias_round_trip(self, cliques_ring):
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            legacy = RSLPADetector(
-                cliques_ring, seed=3, iterations=ITERATIONS, engine="fast"
-            )
-        modern = RSLPADetector(
-            cliques_ring, seed=3, iterations=ITERATIONS, backend="fast"
-        )
-        assert legacy.plan() == modern.plan()
-        assert legacy.fit().communities() == modern.fit().communities()
-
     def test_detector_kwargs_and_configs_resolve_same_plan(self, cliques_ring):
         by_kwargs = RSLPADetector(
             cliques_ring, seed=3, iterations=ITERATIONS, backend="reference"
@@ -209,37 +188,29 @@ class TestDeprecationShims:
             seed=5,
             iterations=ITERATIONS,
             num_workers=3,
-            shard_backend="csr",
-            engine="array",
         )
         by_config, stats_c = run_distributed_rslpa(
             cliques_ring,
             seed=5,
             iterations=ITERATIONS,
-            config=ExecutionConfig(
-                num_workers=3,
-                shard_backend="csr",
-                engine="array",
-                state_format="dict",
-            ),
+            config=ExecutionConfig(num_workers=3, state_format="dict"),
         )
         assert by_kwargs.labels == by_config.labels
         assert by_kwargs.receivers == by_config.receivers
-        assert stats_k.total_messages == stats_c.total_messages
-        assert stats_k.total_bytes == stats_c.total_bytes
+        assert stats_k.per_superstep == stats_c.per_superstep
 
     def test_cluster_config_without_workers_inherits_wrapper_default(
         self, cliques_ring
     ):
         from repro.distributed.cluster import run_distributed_rslpa
 
-        # The README's own example: a config that only picks the axes must
-        # not resolve a local (0-worker) plan inside a distributed wrapper.
+        # A config that only picks other axes must not resolve a local
+        # (0-worker) plan inside a distributed wrapper.
         state, stats = run_distributed_rslpa(
             cliques_ring,
             seed=5,
             iterations=ITERATIONS,
-            config=ExecutionConfig(shard_backend="csr", engine="array"),
+            config=ExecutionConfig(state_format="dict"),
         )
         assert state.num_iterations == ITERATIONS
         assert stats.total_messages > 0
@@ -460,20 +431,21 @@ class TestRegistry:
         finally:
             PARTITIONERS._entries.pop(name, None)
 
-    def test_plugin_engine_name_passes_config_validation(self, cliques_ring):
-        from repro.api import ENGINES
+    def test_plugin_transport_name_passes_config_validation(self, cliques_ring):
+        from repro.api.registry import TRANSPORTS
 
-        name = "test-plugin-plane"
-        ENGINES.register(name, lambda shards, part: None)
+        name = "test-plugin-transport"
+        TRANSPORTS.register(name, object)
         try:
             plan = plan_for(
-                cliques_ring, ExecutionConfig(num_workers=2, engine=name)
+                cliques_ring,
+                ExecutionConfig(num_workers=2, multiprocess=True, transport=name),
             )
-            assert plan.engine == name  # explicit names pass through
+            assert plan.transport == name  # explicit names pass through
         finally:
-            ENGINES._entries.pop(name, None)
-        with pytest.raises(ValueError, match="engine"):
-            ExecutionConfig(engine=name)  # gone from the registry again
+            TRANSPORTS._entries.pop(name, None)
+        with pytest.raises(ValueError, match="transport"):
+            ExecutionConfig(transport=name)  # gone from the registry again
 
     def test_unknown_partitioner_rejected_at_plan_time(self, cliques_ring):
         with pytest.raises(ValueError, match="unknown partitioner"):
@@ -533,14 +505,15 @@ class TestPlanCLI:
         write_edge_list(cliques_ring, path)
         out = io.StringIO()
         code = main(
-            ["plan", path, "--distributed", "4", "--shard-backend", "dict"],
+            ["plan", path, "--distributed", "4", "--multiprocess",
+             "--transport", "tcp"],
             out=out,
         )
         assert code == 0
         text = out.getvalue()
         assert "execution plan:" in text
-        assert "shard_backend" in text and "explicitly requested" in text
-        assert "engine" in text
+        assert "transport" in text and "explicitly requested" in text
+        assert "state_format" in text
 
     def test_plan_subcommand_local(self, tmp_path, cliques_ring):
         import io
@@ -556,7 +529,7 @@ class TestPlanCLI:
 
 
 class TestTransportResolution:
-    """The transport axis: auto rules, plane gating, provenance."""
+    """The transport axis: auto rules, gating, provenance."""
 
     CAPS = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=True)
 
@@ -564,23 +537,17 @@ class TestTransportResolution:
         plan = resolve_plan(
             self.CAPS, ExecutionConfig(num_workers=4, multiprocess=True)
         )
-        assert plan.engine == "array"
         assert plan.transport == "shm"
         assert any(
             d.field == "transport" and d.value == "shm" for d in plan.decisions
         )
 
-    def test_auto_falls_back_to_pipe_on_tuple_plane(self):
+    def test_auto_is_shm_for_non_contiguous_ids(self):
+        caps = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=False)
         plan = resolve_plan(
-            self.CAPS,
-            ExecutionConfig(
-                num_workers=4,
-                multiprocess=True,
-                engine="reference",
-                shard_backend="dict",
-            ),
+            caps, ExecutionConfig(num_workers=4, multiprocess=True)
         )
-        assert plan.transport == "pipe"
+        assert plan.transport == "shm"
 
     def test_no_transport_without_multiprocess(self):
         assert resolve_plan(
@@ -596,18 +563,16 @@ class TestTransportResolution:
         assert plan.transport == "tcp"
         assert "transport=tcp" in plan.summary()
 
-    def test_column_transport_requires_array_plane(self):
-        with pytest.raises(ValueError, match="engine='array'"):
-            resolve_plan(
-                self.CAPS,
+    def test_column_transports_accept_non_contiguous_ids(self):
+        caps = GraphCaps(num_vertices=60, num_edges=200, contiguous_ids=False)
+        for transport in ("pipe", "shm", "tcp"):
+            plan = resolve_plan(
+                caps,
                 ExecutionConfig(
-                    num_workers=4,
-                    multiprocess=True,
-                    engine="reference",
-                    shard_backend="dict",
-                    transport="shm",
+                    num_workers=4, multiprocess=True, transport=transport
                 ),
             )
+            assert plan.transport == transport
 
     def test_explicit_transport_requires_multiprocess(self):
         with pytest.raises(ValueError, match="multiprocess=True"):
@@ -631,7 +596,7 @@ class TestTransportResolution:
             ),
         )
         memories_ref, stats_ref = run_distributed_slpa(
-            cliques_ring, seed=3, iterations=8, num_workers=2, engine="array"
+            cliques_ring, seed=3, iterations=8, num_workers=2
         )
         assert memories_shm == memories_ref
         assert stats_shm.per_superstep == stats_ref.per_superstep

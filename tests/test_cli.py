@@ -90,11 +90,11 @@ class TestDetect:
             "--state", local_state,
         )
         assert code == 0
-        for dist_engine in ("array", "reference"):
+        for backend in ("fast", "reference"):
             code, output = run_cli(
                 "detect", graph_file, "--seed", "1", "-T", "40",
                 "--state", dist_state,
-                "--distributed", "3", "--dist-engine", dist_engine,
+                "--distributed", "3", "--backend", backend,
             )
             assert code == 0
             assert "distributed fit:" in output

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.fast import FastPropagator, graph_to_csr
+from repro.core.fast import FastPropagator
 from repro.core.rslpa import ReferencePropagator
 from repro.graph.adjacency import Graph
+from repro.graph.csr import build_csr_arrays
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 
 
 class TestCSR:
     def test_sorted_adjacency(self, cliques_ring):
-        indptr, indices = graph_to_csr(cliques_ring)
+        indptr, indices = build_csr_arrays(cliques_ring)
         for v in cliques_ring.vertices():
             nbrs = indices[indptr[v] : indptr[v + 1]].tolist()
             assert nbrs == sorted(cliques_ring.neighbors_view(v))
@@ -19,10 +20,10 @@ class TestCSR:
     def test_requires_contiguous_ids(self):
         g = Graph.from_edges([(0, 5)])
         with pytest.raises(ValueError, match="contiguous"):
-            graph_to_csr(g)
+            build_csr_arrays(g)
 
     def test_empty_graph(self):
-        indptr, indices = graph_to_csr(Graph())
+        indptr, indices = build_csr_arrays(Graph())
         assert indptr.tolist() == [0]
         assert len(indices) == 0
 

@@ -1,11 +1,12 @@
-"""Columnar vs tuple message plane: bit-identical results and accounting.
+"""The columnar message plane: schemas, inboxes, and the core oracles.
 
-The acceptance oracle for the array message plane: for every program
-(rSLPA, SLPA, correction), every shard backend (dict, CSR), both
-partitioner families and several seeds, the :class:`ArrayBSPEngine` run
-must reproduce the reference :class:`BSPEngine` run exactly — same
-collected results, same per-superstep :class:`CommStats` counters — and
-the multiprocess backend must agree across planes.
+For every program (rSLPA, SLPA, correction), both shard build paths (the
+per-vertex conversion of a non-contiguous ``dict`` graph and the ``csr``
+slice of a contiguous one), both partitioner families and several seeds,
+a :class:`ArrayBSPEngine` run must reproduce the sequential engines
+exactly, and its per-superstep :class:`CommStats` must equal the oracle
+derived from the sequential state; the multiprocess backend must agree
+with the in-process engine.
 """
 
 from functools import partial
@@ -13,6 +14,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from comm_oracle import expected_rslpa_stats, expected_slpa_stats, stats_tuples
+from repro.api import ExecutionConfig
 from repro.baselines.slpa import SLPA
 from repro.core.incremental import CorrectionPropagator
 from repro.core.labels_array import ArrayLabelState
@@ -22,7 +25,6 @@ from repro.distributed.cluster import (
     run_distributed_slpa,
     run_distributed_update,
 )
-from repro.distributed.engine import BSPEngine
 from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.message import message_size_bytes
 from repro.distributed.message_array import (
@@ -32,16 +34,12 @@ from repro.distributed.message_array import (
     register_schema,
 )
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.programs import (
-    RSLPAPropagationProgram,
-    SLPAPropagationProgram,
-)
 from repro.distributed.programs_array import (
     FastRSLPAPropagationProgram,
     FastSLPAPropagationProgram,
-    shard_local_csr,
 )
-from repro.distributed.worker import build_csr_shards, build_shards
+from repro.distributed.worker import _convert_shard, build_csr_shards
+from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 from repro.workloads.dynamic import random_edit_batch
@@ -49,13 +47,7 @@ from repro.workloads.dynamic import random_edit_batch
 
 def assert_stats_equal(a, b):
     """Per-superstep CommStats equality, counter for counter."""
-    assert a.supersteps == b.supersteps
-    for step_a, step_b in zip(a.per_superstep, b.per_superstep):
-        assert step_a.superstep == step_b.superstep
-        assert step_a.messages == step_b.messages
-        assert step_a.remote_messages == step_b.remote_messages
-        assert step_a.bytes == step_b.bytes
-        assert step_a.remote_bytes == step_b.remote_bytes
+    assert stats_tuples(a) == stats_tuples(b)
 
 
 def partitioners(graph):
@@ -64,6 +56,17 @@ def partitioners(graph):
         HashPartitioner(4, salt=9),
         ContiguousPartitioner(3, graph.num_vertices),
     ]
+
+
+def graph_for(build_path, graph):
+    """``csr``: the contiguous graph (sliced); ``dict``: the same shape on
+    spread-out ids, which build_csr_shards converts per vertex."""
+    if build_path == "csr":
+        return graph
+    return Graph.from_edges(
+        [(5 * u + 3, 5 * v + 3) for u, v in graph.edges()],
+        vertices=[5 * v + 3 for v in graph.vertices()],
+    )
 
 
 class TestSchemas:
@@ -143,16 +146,15 @@ class TestContextAndInbox:
 
 class TestShardLocalCSR:
     def test_dict_and_csr_shards_agree(self, small_lfr):
+        """Per-vertex conversion of the dict graph == the CSR slice."""
         graph = small_lfr.graph
         part = HashPartitioner(4)
-        for dshard, cshard in zip(
-            build_shards(graph, part), build_csr_shards(graph, part)
-        ):
-            d_ids, d_indptr, d_indices = shard_local_csr(dshard)
-            c_ids, c_indptr, c_indices = shard_local_csr(cshard)
-            assert d_ids.tolist() == c_ids.tolist()
-            assert d_indptr.tolist() == c_indptr.tolist()
-            assert d_indices.tolist() == c_indices.tolist()
+        groups = part.partition(graph.vertices())
+        for cshard in build_csr_shards(graph, part):
+            dshard = _convert_shard(graph, cshard.worker_id, groups[cshard.worker_id])
+            assert dshard.local_ids.tolist() == cshard.local_ids.tolist()
+            assert dshard.indptr.tolist() == cshard.indptr.tolist()
+            assert dshard.indices.tolist() == cshard.indices.tolist()
 
     def test_csr_shard_arrays_are_read_only(self, cliques_ring):
         """Programs cannot silently corrupt the shared shard adjacency."""
@@ -185,67 +187,65 @@ class TestRSLPAEquality:
     @pytest.mark.parametrize("seed", [0, 7, 23])
     @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
     def test_engine_equality_all_partitioners(self, seed, shard_backend):
-        graph = erdos_renyi(60, 0.08, seed=11)  # includes isolated vertices
+        """Both shard build paths == ReferencePropagator, stats == oracle."""
+        graph = graph_for(shard_backend, erdos_renyi(60, 0.08, seed=11))
+        ref = ReferencePropagator(graph.copy(), seed=seed)  # isolated vertices
+        ref.propagate(12)
         for part in partitioners(graph):
-            ref_state, ref_stats = run_distributed_rslpa(
+            state, stats = run_distributed_rslpa(
                 graph.copy(), seed=seed, iterations=12, partitioner=part,
                 num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="reference",
             )
-            arr_state, arr_stats = run_distributed_rslpa(
-                graph.copy(), seed=seed, iterations=12, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="array",
+            assert state.labels == ref.state.labels
+            assert state.srcs == ref.state.srcs
+            assert state.poss == ref.state.poss
+            assert state.epochs == ref.state.epochs
+            assert state.receivers == ref.state.receivers
+            assert stats_tuples(stats) == expected_rslpa_stats(
+                ref.state, part, 12
             )
-            assert arr_state.labels == ref_state.labels
-            assert arr_state.srcs == ref_state.srcs
-            assert arr_state.poss == ref_state.poss
-            assert arr_state.epochs == ref_state.epochs
-            assert arr_state.receivers == ref_state.receivers
-            assert_stats_equal(arr_stats, ref_stats)
 
     def test_program_collect_identical(self, small_lfr):
-        """Program-level oracle: same shard, both planes, same collect()."""
+        """Program-level oracle: collect() matrices == the sequential state."""
         graph = small_lfr.graph
         part = HashPartitioner(3)
         shards = build_csr_shards(graph, part)
-        ref_programs = [
-            RSLPAPropagationProgram(s, seed=5, iterations=10) for s in shards
+        programs = [
+            FastRSLPAPropagationProgram(s, seed=5, iterations=10) for s in shards
         ]
-        BSPEngine(shards, part).run(ref_programs)
-        arr_programs = [
-            FastRSLPAPropagationProgram(s, seed=5, iterations=10)
-            for s in shards
-        ]
-        ArrayBSPEngine(shards, part).run(arr_programs)
-        for ref_p, arr_p in zip(ref_programs, arr_programs):
-            ref_collected = {
-                v: (list(l), list(s), list(p))
-                for v, (l, s, p) in ref_p.collect().items()
-            }
-            assert arr_p.collect() == ref_collected
+        ArrayBSPEngine(shards, part).run(programs)
+        ref = ReferencePropagator(graph.copy(), seed=5)
+        ref.propagate(10)
+        for program in programs:
+            local_ids, labels, srcs, poss = program.collect()
+            for r, v in enumerate(local_ids.tolist()):
+                assert labels[:, r].tolist() == ref.state.labels[v]
+                assert srcs[:, r].tolist() == ref.state.srcs[v]
+                assert poss[:, r].tolist() == ref.state.poss[v]
 
-    def test_auto_prefers_array_on_csr_shards(self, cliques_ring):
-        """auto == array on CSR shards, == reference on dict shards."""
-        for shard_backend, forced in (("csr", "array"), ("dict", "reference")):
-            auto_state, auto_stats = run_distributed_rslpa(
-                cliques_ring.copy(), seed=3, iterations=8,
-                shard_backend=shard_backend, engine="auto",
-            )
-            forced_state, forced_stats = run_distributed_rslpa(
-                cliques_ring.copy(), seed=3, iterations=8,
-                shard_backend=shard_backend, engine=forced,
-            )
-            assert auto_state.labels == forced_state.labels
-            assert_stats_equal(auto_stats, forced_stats)
+    def test_keyword_and_config_entry_points_agree(self, cliques_ring):
+        """A keyword call and a config call run the same plane."""
+        kw_state, kw_stats = run_distributed_rslpa(
+            cliques_ring.copy(), seed=3, iterations=8, num_workers=3
+        )
+        cfg_state, cfg_stats = run_distributed_rslpa(
+            cliques_ring.copy(), seed=3, iterations=8,
+            config=ExecutionConfig(num_workers=3),
+        )
+        assert isinstance(cfg_state, ArrayLabelState)
+        exported = cfg_state.to_label_state()
+        assert kw_state.labels == exported.labels
+        assert kw_state.srcs == exported.srcs
+        assert kw_state.poss == exported.poss
+        assert kw_state.receivers == exported.receivers
+        assert_stats_equal(kw_stats, cfg_stats)
 
     def test_array_state_format(self, cliques_ring):
         """state_format='array' returns the ArrayLabelState export."""
         ref = ReferencePropagator(cliques_ring.copy(), seed=7)
         ref.propagate(15)
         astate, _ = run_distributed_rslpa(
-            cliques_ring.copy(), seed=7, iterations=15,
-            shard_backend="csr", engine="array", state_format="array",
+            cliques_ring.copy(), seed=7, iterations=15, state_format="array",
         )
         assert isinstance(astate, ArrayLabelState)
         exported = astate.to_label_state()
@@ -253,8 +253,9 @@ class TestRSLPAEquality:
         assert exported.receivers == ref.state.receivers
 
     def test_invalid_engine_rejected(self, cliques_ring):
-        with pytest.raises(ValueError, match="engine"):
-            run_distributed_rslpa(cliques_ring, engine="spark")
+        """The retired message-plane axis is no longer a keyword."""
+        with pytest.raises(TypeError, match="engine"):
+            run_distributed_rslpa(cliques_ring, engine="array")
 
     def test_out_of_range_owner_fails_loudly(self, cliques_ring):
         """A buggy partitioner cannot silently drop routed messages."""
@@ -295,7 +296,6 @@ class TestRSLPAEquality:
             MultiprocessBSPEngine(
                 renumbered, part,
                 partial(FastRSLPAPropagationProgram, seed=1, iterations=2),
-                plane="array",
             )
 
     def test_invalid_state_format_rejected(self, cliques_ring):
@@ -307,20 +307,17 @@ class TestSLPAEquality:
     @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
     def test_engine_equality_all_partitioners(self, seed, shard_backend):
-        graph = erdos_renyi(50, 0.1, seed=2)
+        """Both shard build paths == the SLPA baseline, stats == oracle."""
+        graph = graph_for(shard_backend, erdos_renyi(50, 0.1, seed=2))
+        ref = SLPA(graph.copy(), seed=seed, iterations=10)
+        ref.propagate()
         for part in partitioners(graph):
-            ref_mem, ref_stats = run_distributed_slpa(
+            memories, stats = run_distributed_slpa(
                 graph.copy(), seed=seed, iterations=10, partitioner=part,
                 num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="reference",
             )
-            arr_mem, arr_stats = run_distributed_slpa(
-                graph.copy(), seed=seed, iterations=10, partitioner=part,
-                num_workers=part.num_partitions,
-                shard_backend=shard_backend, engine="array",
-            )
-            assert arr_mem == ref_mem
-            assert_stats_equal(arr_stats, ref_stats)
+            assert memories == ref.memories
+            assert stats_tuples(stats) == expected_slpa_stats(graph, part, 10)
 
     def test_matches_sequential_slpa(self, small_lfr):
         graph = small_lfr.graph
@@ -328,7 +325,6 @@ class TestSLPAEquality:
         seq.propagate()
         mem, _ = run_distributed_slpa(
             graph.copy(), seed=6, iterations=12, num_workers=4,
-            shard_backend="csr", engine="array",
         )
         assert mem == seq.memories
 
@@ -336,105 +332,90 @@ class TestSLPAEquality:
 class TestCorrectionEquality:
     @pytest.mark.parametrize("shard_backend", ["dict", "csr"])
     def test_adapter_equals_reference_across_batches(self, shard_backend):
-        """Correction via TupleProgramAdapter: same repairs, same stats."""
-        graph = erdos_renyi(60, 0.06, seed=17)
-
-        def fresh(engine):
-            g = graph.copy()
-            prop = ReferencePropagator(g, seed=3)
-            prop.propagate(15)
-            return g, prop.state
+        """Correction via TupleProgramAdapter == the sequential corrector."""
+        graph = graph_for(shard_backend, erdos_renyi(60, 0.06, seed=17))
 
         seq_graph = graph.copy()
         seq_prop = ReferencePropagator(seq_graph, seed=3)
         seq_prop.propagate(15)
         corrector = CorrectionPropagator(seq_prop)
 
-        ref_graph, ref_state = fresh("reference")
-        arr_graph, arr_state = fresh("array")
+        dist_graph = graph.copy()
+        dist_prop = ReferencePropagator(dist_graph, seed=3)
+        dist_prop.propagate(15)
+        dist_state = dist_prop.state
         for epoch in range(1, 5):
             batch = random_edit_batch(seq_graph, 6, seed=epoch)
             corrector.apply_batch(batch)
-            ref_graph, ref_state, ref_stats = run_distributed_update(
-                ref_graph, ref_state, batch, seed=3, batch_epoch=epoch,
-                num_workers=3, shard_backend=shard_backend, engine="reference",
+            dist_graph, dist_state, stats = run_distributed_update(
+                dist_graph, dist_state, batch, seed=3, batch_epoch=epoch,
+                num_workers=3,
             )
-            arr_graph, arr_state, arr_stats = run_distributed_update(
-                arr_graph, arr_state, batch, seed=3, batch_epoch=epoch,
-                num_workers=3, shard_backend=shard_backend, engine="array",
-            )
-            assert arr_state.labels == corrector.state.labels, epoch
-            assert ref_state.labels == corrector.state.labels, epoch
-            assert arr_state.epochs == corrector.state.epochs
-            assert arr_state.receivers == ref_state.receivers
-            assert_stats_equal(arr_stats, ref_stats)
+            assert dist_state.labels == corrector.state.labels, epoch
+            assert dist_state.srcs == corrector.state.srcs
+            assert dist_state.epochs == corrector.state.epochs
+            assert dist_state.receivers == corrector.state.receivers
 
 
 class TestMultiprocessArrayPlane:
-    """Array plane over real processes (small worker counts for CI)."""
+    """Multiprocess runs == in-process runs (small worker counts for CI)."""
 
-    def _run(self, shards, part, factory, plane):
-        with MultiprocessBSPEngine(shards, part, factory, plane=plane) as eng:
+    def _run(self, shards, part, factory):
+        with MultiprocessBSPEngine(shards, part, factory) as eng:
             stats = eng.run()
             results = eng.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
-        return merged, stats
+        return results, stats
 
-    def test_rslpa_array_plane_matches_tuple_plane(self):
+    @staticmethod
+    def _in_process(shards, part, factory):
+        programs = [factory(shard) for shard in shards]
+        engine = ArrayBSPEngine(shards, part)
+        engine.run(programs)
+        return [program.collect() for program in programs], engine.stats
+
+    def test_rslpa_matches_in_process(self):
         graph = ring_of_cliques(3, 5)
         part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=5, iterations=10), "tuple",
-        )
-        array_merged, array_stats = self._run(
-            build_csr_shards(graph, part), part,
-            partial(FastRSLPAPropagationProgram, seed=5, iterations=10),
-            "array",
-        )
-        assert array_merged == tuple_merged
-        assert_stats_equal(array_stats, tuple_stats)
+        shards = build_csr_shards(graph, part)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=10)
+        mp_results, mp_stats = self._run(shards, part, factory)
+        ip_results, ip_stats = self._in_process(shards, part, factory)
+        for mp_cols, ip_cols in zip(mp_results, ip_results):
+            for mp_col, ip_col in zip(mp_cols, ip_cols):
+                assert mp_col.tolist() == ip_col.tolist()
+        assert_stats_equal(mp_stats, ip_stats)
 
-    def test_slpa_array_plane_matches_tuple_plane(self):
+    def test_slpa_matches_in_process(self):
         graph = ring_of_cliques(3, 4)
         part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(SLPAPropagationProgram, seed=2, iterations=8), "tuple",
-        )
-        array_merged, array_stats = self._run(
-            build_csr_shards(graph, part), part,
-            partial(FastSLPAPropagationProgram, seed=2, iterations=8),
-            "array",
-        )
-        assert array_merged == tuple_merged
-        assert_stats_equal(array_stats, tuple_stats)
+        shards = build_csr_shards(graph, part)
+        factory = partial(FastSLPAPropagationProgram, seed=2, iterations=8)
+        mp_results, mp_stats = self._run(shards, part, factory)
+        ip_results, ip_stats = self._in_process(shards, part, factory)
+        assert mp_results == ip_results
+        assert_stats_equal(mp_stats, ip_stats)
 
     def test_tuple_program_auto_wrapped_on_array_plane(self):
-        """A tuple-plane factory runs on plane='array' via the adapter."""
+        """A scalar WorkerProgram factory runs multiprocess via the adapter."""
+        from repro.distributed.components import HashToMinProgram
+
         graph = ring_of_cliques(2, 4)
         part = HashPartitioner(2)
-        tuple_merged, tuple_stats = self._run(
-            build_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=3, iterations=6), "tuple",
-        )
-        wrapped_merged, wrapped_stats = self._run(
-            build_csr_shards(graph, part), part,
-            partial(RSLPAPropagationProgram, seed=3, iterations=6), "array",
-        )
-        assert wrapped_merged == tuple_merged
-        assert_stats_equal(wrapped_stats, tuple_stats)
+        shards = build_csr_shards(graph, part)
+        mp_results, mp_stats = self._run(shards, part, HashToMinProgram)
+        ip_results, ip_stats = self._in_process(shards, part, HashToMinProgram)
+        assert mp_results == ip_results
+        assert_stats_equal(mp_stats, ip_stats)
 
     def test_invalid_plane_rejected(self):
+        """The retired plane selector is no longer a constructor argument."""
         graph = ring_of_cliques(2, 4)
         part = HashPartitioner(2)
-        with pytest.raises(ValueError, match="plane"):
+        with pytest.raises(TypeError, match="plane"):
             MultiprocessBSPEngine(
-                build_shards(graph, part), part,
-                partial(RSLPAPropagationProgram, seed=1, iterations=2),
-                plane="quantum",
+                build_csr_shards(graph, part), part,
+                partial(FastRSLPAPropagationProgram, seed=1, iterations=2),
+                plane="tuple",
             )
 
 
@@ -462,8 +443,7 @@ class TestDetectorDistributedFit:
         dist = RSLPADetector(
             cliques_ring, seed=9, iterations=30, backend="reference"
         )
-        dist.fit_distributed(num_workers=2, engine="reference",
-                             shard_backend="dict")
+        dist.fit_distributed(num_workers=2)
         assert dist.label_state.labels == local.label_state.labels
 
     def test_update_after_fit_distributed(self, cliques_ring):

@@ -1,12 +1,20 @@
-"""Tests for the BSP engine, shards, messages and comm accounting."""
+"""Tests for the BSP engine, shards, messages and comm accounting.
+
+The engine tests drive scalar :class:`WorkerProgram` subclasses, which the
+columnar engine runs through its tuple adapter.
+"""
 
 import pytest
 
-from repro.distributed.engine import BSPEngine, WorkerProgram
+from repro.distributed.engine_array import ArrayBSPEngine, WorkerProgram
 from repro.distributed.message import message_size_bytes, payload_size_bytes
+from repro.distributed.message_array import register_schema
 from repro.distributed.metrics import CommStats, SuperstepStats
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
+
+register_schema("ping", ("src",))
+register_schema("go", ())
 
 
 class EchoOnce(WorkerProgram):
@@ -42,20 +50,22 @@ class ChattyProgram(WorkerProgram):
 class TestShards:
     def test_every_vertex_owned_once(self, cliques_ring):
         part = HashPartitioner(4)
-        shards = build_shards(cliques_ring, part)
+        shards = build_csr_shards(cliques_ring, part)
         owned = [v for shard in shards for v in shard.vertices]
         assert sorted(owned) == sorted(cliques_ring.vertices())
 
     def test_adjacency_is_sorted(self, cliques_ring):
-        shards = build_shards(cliques_ring, HashPartitioner(3))
+        shards = build_csr_shards(cliques_ring, HashPartitioner(3))
         for shard in shards:
             for v in shard.vertices:
-                assert shard.neighbors(v) == sorted(cliques_ring.neighbors_view(v))
+                assert shard.neighbors(v).tolist() == sorted(
+                    cliques_ring.neighbors_view(v)
+                )
 
     def test_contiguous_partitioner_locality(self, cliques_ring):
         """Contiguous blocks keep most clique edges worker-local."""
         part = ContiguousPartitioner(5, num_vertices=30)
-        shards = build_shards(cliques_ring, part)
+        shards = build_csr_shards(cliques_ring, part)
         # Each shard is exactly one 6-clique.
         for shard in shards:
             assert shard.num_vertices == 6
@@ -64,8 +74,8 @@ class TestShards:
 class TestEngine:
     def test_messages_delivered_to_owners(self, cliques_ring):
         part = HashPartitioner(3)
-        shards = build_shards(cliques_ring, part)
-        engine = BSPEngine(shards, part)
+        shards = build_csr_shards(cliques_ring, part)
+        engine = ArrayBSPEngine(shards, part)
         programs = [EchoOnce(s, n=30) for s in shards]
         engine.run(programs)
         for program in programs:
@@ -76,16 +86,16 @@ class TestEngine:
 
     def test_total_message_count(self, cliques_ring):
         part = HashPartitioner(3)
-        shards = build_shards(cliques_ring, part)
-        engine = BSPEngine(shards, part)
+        shards = build_csr_shards(cliques_ring, part)
+        engine = ArrayBSPEngine(shards, part)
         engine.run([EchoOnce(s, n=30) for s in shards])
         assert engine.stats.total_messages == 30
         assert engine.stats.supersteps == 1
 
     def test_remote_vs_local_accounting(self, cliques_ring):
         part = ContiguousPartitioner(5, num_vertices=30)
-        shards = build_shards(cliques_ring, part)
-        engine = BSPEngine(shards, part)
+        shards = build_csr_shards(cliques_ring, part)
+        engine = ArrayBSPEngine(shards, part)
         engine.run([EchoOnce(s, n=30) for s in shards])
         stats = engine.stats
         # (v+1) mod 30 stays in the same block except at block boundaries.
@@ -94,22 +104,22 @@ class TestEngine:
 
     def test_superstep_cap(self, cliques_ring):
         part = HashPartitioner(2)
-        shards = build_shards(cliques_ring, part)
-        engine = BSPEngine(shards, part)
+        shards = build_csr_shards(cliques_ring, part)
+        engine = ArrayBSPEngine(shards, part)
         with pytest.raises(RuntimeError, match="quiesce"):
             engine.run([ChattyProgram(s) for s in shards], max_supersteps=10)
 
     def test_shard_program_count_mismatch(self, cliques_ring):
         part = HashPartitioner(2)
-        shards = build_shards(cliques_ring, part)
-        engine = BSPEngine(shards, part)
+        shards = build_csr_shards(cliques_ring, part)
+        engine = ArrayBSPEngine(shards, part)
         with pytest.raises(ValueError):
             engine.run([EchoOnce(shards[0], n=30)])
 
     def test_partitioner_shard_mismatch(self, cliques_ring):
-        shards = build_shards(cliques_ring, HashPartitioner(2))
+        shards = build_csr_shards(cliques_ring, HashPartitioner(2))
         with pytest.raises(ValueError):
-            BSPEngine(shards, HashPartitioner(3))
+            ArrayBSPEngine(shards, HashPartitioner(3))
 
 
 class TestMessageSizes:

@@ -10,7 +10,6 @@ so CI can select them with ``-k "fault and smoke"``.
 import os
 import pickle
 import signal
-import time
 from functools import partial
 
 import pytest
@@ -22,7 +21,7 @@ from repro.distributed.faults import FaultPlan
 from repro.distributed.multiprocess import MultiprocessBSPEngine
 from repro.distributed.programs_array import FastSLPAPropagationProgram
 from repro.distributed.transport import WorkerCrashedError
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import HashPartitioner
 
@@ -114,7 +113,7 @@ def _assert_identical(got, ref):
 
 def _reference(graph, part):
     """Failure-free in-process ground truth: (memories, superstep stats)."""
-    shards = build_shards(graph, part)
+    shards = build_csr_shards(graph, part)
     engine = ArrayBSPEngine(shards, part)
     programs = engine.run(
         [
@@ -137,13 +136,12 @@ def reference():
 def _faulty_run(transport, fault_plan, checkpoint_interval=2, max_restarts=3):
     """One fault-tolerant multiprocess run: (memories, steps, recovery)."""
     graph, part = _setup()
-    shards = build_shards(graph, part)
+    shards = build_csr_shards(graph, part)
     factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS)
     with MultiprocessBSPEngine(
         shards,
         part,
         factory,
-        plane="array",
         transport=transport,
         fault_tolerance=True,
         checkpoint_interval=checkpoint_interval,
@@ -261,7 +259,7 @@ class TestFaultKinds:
         # the final (quiescence) cut; collect must still return full bits.
         ref_memories, _ = reference
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -269,7 +267,6 @@ class TestFaultKinds:
             shards,
             part,
             factory,
-            plane="array",
             transport="tcp",
             fault_tolerance=True,
             checkpoint_interval=2,
@@ -289,7 +286,7 @@ class TestFaultKinds:
 class TestPolicy:
     def test_constructor_validation(self):
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=2)
         with pytest.raises(ValueError, match="checkpoint_interval"):
             MultiprocessBSPEngine(shards, part, factory, checkpoint_interval=0)
@@ -301,7 +298,7 @@ class TestPolicy:
     def test_without_fault_tolerance_crash_still_raises_smoke(self):
         # Back-compat: the scripted kill surfaces as WorkerCrashedError.
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -309,7 +306,6 @@ class TestPolicy:
             shards,
             part,
             factory,
-            plane="array",
             fault_plan=FaultPlan(kill=(1, 2)),
         ) as engine:
             with pytest.raises(WorkerCrashedError) as excinfo:
@@ -320,7 +316,7 @@ class TestPolicy:
         # Two scripted kills on different workers against max_restarts=1:
         # the second crash exceeds the budget and must surface.
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
@@ -328,7 +324,6 @@ class TestPolicy:
             shards,
             part,
             factory,
-            plane="array",
             fault_tolerance=True,
             checkpoint_interval=2,
             max_restarts=1,
@@ -339,9 +334,9 @@ class TestPolicy:
 
     def test_shutdown_reports_leaked_pids(self, caplog):
         graph, part = _setup()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         factory = partial(FastSLPAPropagationProgram, seed=SEED, iterations=2)
-        engine = MultiprocessBSPEngine(shards, part, factory, plane="array")
+        engine = MultiprocessBSPEngine(shards, part, factory)
         engine.run()
 
         class Unkillable:

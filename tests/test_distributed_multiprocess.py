@@ -1,9 +1,9 @@
 """Tests for the multiprocess BSP backend (true parallelism).
 
 The transport matrix at the bottom is the load-bearing contract of the
-zero-copy data plane: every (plane × transport × partitioner) cell must
-produce bit-identical covers and per-superstep CommStats to the
-in-process ArrayBSPEngine, and a worker that dies mid-run must raise
+zero-copy data plane: every (program flavour × transport × partitioner)
+cell must produce bit-identical results and per-superstep CommStats to
+the in-process ArrayBSPEngine, and a worker that dies mid-run must raise
 WorkerCrashedError instead of hanging the driver.
 """
 
@@ -16,12 +16,15 @@ import pytest
 
 from repro.baselines.slpa import SLPA
 from repro.core.rslpa import ReferencePropagator
+from repro.distributed.components import HashToMinProgram
 from repro.distributed.engine_array import ArrayBSPEngine
 from repro.distributed.multiprocess import MultiprocessBSPEngine
-from repro.distributed.programs import RSLPAPropagationProgram, SLPAPropagationProgram
-from repro.distributed.programs_array import FastSLPAPropagationProgram
+from repro.distributed.programs_array import (
+    FastRSLPAPropagationProgram,
+    FastSLPAPropagationProgram,
+)
 from repro.distributed.transport import WorkerCrashedError
-from repro.distributed.worker import build_shards
+from repro.distributed.worker import build_csr_shards
 from repro.graph.generators import ring_of_cliques
 from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 
@@ -30,26 +33,26 @@ from repro.graph.partition import ContiguousPartitioner, HashPartitioner
 def small_setup():
     graph = ring_of_cliques(3, 5)
     part = HashPartitioner(3)
-    return graph, part, build_shards(graph, part)
+    return graph, part, build_csr_shards(graph, part)
 
 
 class TestMultiprocessRSLPA:
     def test_matches_sequential(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=5, iterations=15)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=15)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
-        merged = {}
-        for result in results:
-            merged.update(result)
         ref = ReferencePropagator(graph.copy(), seed=5)
         ref.propagate(15)
-        assert {v: lab for v, (lab, _s, _p) in merged.items()} == ref.state.labels
+        labels = {}
+        for local_ids, worker_labels, _srcs, _poss in results:
+            labels.update(zip(local_ids.tolist(), worker_labels.T.tolist()))
+        assert labels == ref.state.labels
 
     def test_stats_match_in_process_engine(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=5, iterations=10)
+        factory = partial(FastRSLPAPropagationProgram, seed=5, iterations=10)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             stats = engine.run()
         assert stats.total_messages == 2 * graph.num_vertices * 10
@@ -58,7 +61,7 @@ class TestMultiprocessRSLPA:
 class TestMultiprocessSLPA:
     def test_matches_sequential(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=2, iterations=12)
+        factory = partial(FastSLPAPropagationProgram, seed=2, iterations=12)
         with MultiprocessBSPEngine(shards, part, factory) as engine:
             engine.run()
             results = engine.collect()
@@ -73,7 +76,7 @@ class TestMultiprocessSLPA:
 class TestLifecycle:
     def test_shutdown_idempotent(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         engine = MultiprocessBSPEngine(shards, part, factory)
         engine.run()
         engine.shutdown()
@@ -81,7 +84,7 @@ class TestLifecycle:
 
     def test_run_after_shutdown_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         engine = MultiprocessBSPEngine(shards, part, factory)
         engine.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -89,23 +92,22 @@ class TestLifecycle:
 
     def test_mismatched_partitioner_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(RSLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastRSLPAPropagationProgram, seed=1, iterations=3)
         with pytest.raises(ValueError):
             MultiprocessBSPEngine(shards, HashPartitioner(5), factory)
 
 
 # ----------------------------------------------------------------------
-# Transport matrix: plane × transport × partitioner, all bit-identical
+# Transport matrix: program flavour × transport × partitioner
 # ----------------------------------------------------------------------
 SEED, ITERATIONS, TAU = 11, 10, 0.3
 
-#: Every supported (plane, transport) cell of the multiprocess engine.
-PLANE_TRANSPORT = [
-    ("tuple", "pipe"),
-    ("array", "pipe"),
-    ("array", "shm"),
-    ("array", "tcp"),
-]
+#: Program flavours: an array-native program (SLPA) and a scalar tuple
+#: program (Hash-to-Min) the engine runs through its adapter.
+FACTORIES = {
+    "array": partial(FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS),
+    "tuple": HashToMinProgram,
+}
 
 
 def _partitioner(name, graph, workers):
@@ -135,64 +137,49 @@ def _shm_segments():
         return set()
 
 
-def _reference_run(graph, part):
-    """In-process ArrayBSPEngine ground truth: (memories, superstep stats)."""
-    shards = build_shards(graph, part)
+def _reference_run(graph, part, factory=FACTORIES["array"]):
+    """In-process ArrayBSPEngine ground truth: (results, superstep stats)."""
+    shards = build_csr_shards(graph, part)
     engine = ArrayBSPEngine(shards, part)
-    programs = engine.run(
-        [FastSLPAPropagationProgram(s, seed=SEED, iterations=ITERATIONS)
-         for s in shards]
-    )
-    memories = {}
+    programs = engine.run([factory(s) for s in shards])
+    merged = {}
     for program in programs:
-        memories.update(program.collect())
-    return memories, engine.stats.per_superstep
+        merged.update(program.collect())
+    return merged, engine.stats.per_superstep
 
 
 class TestTransportMatrix:
-    @pytest.mark.parametrize("plane,transport", PLANE_TRANSPORT)
+    @pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
+    @pytest.mark.parametrize("program", ["array", "tuple"])
     @pytest.mark.parametrize("partitioner", ["hash", "range"])
-    def test_bit_identical_cover_and_stats(self, plane, transport, partitioner):
+    def test_bit_identical_cover_and_stats(self, program, transport, partitioner):
         graph = ring_of_cliques(4, 6)
         part = _partitioner(partitioner, graph, 3)
-        ref_memories, ref_steps = _reference_run(graph, part)
+        factory = FACTORIES[program]
+        ref_results, ref_steps = _reference_run(graph, part, factory)
 
-        if plane == "array":
-            factory = partial(
-                FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
-            )
-        else:
-            factory = partial(
-                SLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
-            )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane=plane, transport=transport
+            shards, part, factory, transport=transport
         ) as engine:
             stats = engine.run()
             results = engine.collect()
-        memories = {}
+        merged = {}
         for result in results:
-            memories.update(result)
+            merged.update(result)
 
-        assert memories == ref_memories
-        assert _cover_from_memories(memories) == _cover_from_memories(ref_memories)
+        assert merged == ref_results
+        if program == "array":
+            assert _cover_from_memories(merged) == _cover_from_memories(
+                ref_results
+            )
         assert stats.per_superstep == ref_steps
         assert _shm_segments() <= before  # no leaked shared-memory segments
 
-    def test_column_transports_reject_tuple_plane(self, small_setup):
-        graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=1, iterations=3)
-        for transport in ("shm", "tcp"):
-            with pytest.raises(ValueError, match="plane='array'"):
-                MultiprocessBSPEngine(
-                    shards, part, factory, plane="tuple", transport=transport
-                )
-
     def test_unknown_transport_rejected(self, small_setup):
         graph, part, shards = small_setup
-        factory = partial(SLPAPropagationProgram, seed=1, iterations=3)
+        factory = partial(FastSLPAPropagationProgram, seed=1, iterations=3)
         with pytest.raises(KeyError, match="bogus"):
             MultiprocessBSPEngine(shards, part, factory, transport="bogus")
 
@@ -206,9 +193,9 @@ class TestTransportSmoke:
         factory = partial(
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport="tcp"
+            shards, part, factory, transport="tcp"
         ) as engine:
             stats = engine.run()
             results = engine.collect()
@@ -227,9 +214,9 @@ class TestTransportSmoke:
             FastSLPAPropagationProgram, seed=SEED, iterations=ITERATIONS
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport="shm"
+            shards, part, factory, transport="shm"
         ) as engine:
             engine.run()
             results = engine.collect()
@@ -249,9 +236,9 @@ class TestWorkerCrash:
             FastSLPAPropagationProgram, seed=SEED, iterations=500
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         engine = MultiprocessBSPEngine(
-            shards, part, factory, plane="array", transport=transport
+            shards, part, factory, transport=transport
         )
         try:
             os.kill(engine._processes[1].pid, signal.SIGKILL)
@@ -271,10 +258,10 @@ class TestWorkerCrash:
             FastSLPAPropagationProgram, seed=SEED, iterations=500
         )
         before = _shm_segments()
-        shards = build_shards(graph, part)
+        shards = build_csr_shards(graph, part)
         with pytest.raises(WorkerCrashedError):
             with MultiprocessBSPEngine(
-                shards, part, factory, plane="array", transport="shm"
+                shards, part, factory, transport="shm"
             ) as engine:
                 os.kill(engine._processes[0].pid, signal.SIGKILL)
                 engine.run()

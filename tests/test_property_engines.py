@@ -5,14 +5,16 @@ shapes (including disconnected pieces, isolated vertices, stars, near-empty
 and near-complete graphs) through every pair of engines that must agree
 bit-for-bit:
 
-* rSLPA: reference vs vectorised vs distributed;
-* SLPA: reference vs vectorised;
+* rSLPA: reference vs vectorised vs distributed, on contiguous and
+  spread-out ids, with the per-superstep CommStats oracle;
+* SLPA: reference vs vectorised vs distributed;
 * connected components: hash-to-min vs BFS.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from comm_oracle import expected_rslpa_stats, stats_tuples
 from repro.baselines.slpa import SLPA
 from repro.baselines.slpa_fast import FastSLPA
 from repro.core.fast import FastPropagator
@@ -20,6 +22,7 @@ from repro.core.rslpa import ReferencePropagator
 from repro.distributed.cluster import run_distributed_rslpa, run_distributed_slpa
 from repro.distributed.components import distributed_connected_components
 from repro.graph.adjacency import Graph
+from repro.graph.partition import HashPartitioner
 
 MAX_N = 12
 
@@ -37,6 +40,19 @@ def contiguous_graphs(draw):
         )
     )
     return Graph.from_edges(edges, vertices=range(n))
+
+
+@st.composite
+def any_id_graphs(draw):
+    """A contiguous graph, or the same shape on spread-out ids."""
+    graph = draw(contiguous_graphs())
+    if not draw(st.booleans()):
+        return graph
+    scale, offset = draw(st.integers(2, 9)), draw(st.integers(1, 50))
+    return Graph.from_edges(
+        [(u * scale + offset, v * scale + offset) for u, v in graph.edges()],
+        vertices=[v * scale + offset for v in graph.vertices()],
+    )
 
 
 common_settings = settings(
@@ -77,25 +93,20 @@ class TestRSLPAEngines:
         fast.to_label_state().validate(graph)
 
     @common_settings
-    @given(contiguous_graphs(), st.integers(0, 3), st.integers(1, 4))
+    @given(any_id_graphs(), st.integers(0, 3), st.integers(1, 4))
     def test_array_engine_equals_reference_engine(self, graph, seed, workers):
-        """Columnar message plane == tuple plane, results and accounting."""
-        ref_state, ref_stats = run_distributed_rslpa(
-            graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="dict", engine="reference",
+        """The columnar engine == ReferencePropagator, results and accounting."""
+        ref = ReferencePropagator(graph.copy(), seed=seed)
+        ref.propagate(8)
+        state, stats = run_distributed_rslpa(
+            graph.copy(), seed=seed, iterations=8, num_workers=workers
         )
-        arr_state, arr_stats = run_distributed_rslpa(
-            graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="csr", engine="array",
+        assert state.labels == ref.state.labels
+        assert state.srcs == ref.state.srcs
+        assert state.receivers == ref.state.receivers
+        assert stats_tuples(stats) == expected_rslpa_stats(
+            ref.state, HashPartitioner(workers), 8
         )
-        assert arr_state.labels == ref_state.labels
-        assert arr_state.srcs == ref_state.srcs
-        assert arr_state.receivers == ref_state.receivers
-        assert arr_stats.messages_per_superstep() == (
-            ref_stats.messages_per_superstep()
-        )
-        assert arr_stats.total_bytes == ref_stats.total_bytes
-        assert arr_stats.total_remote_messages == ref_stats.total_remote_messages
 
 
 class TestSLPAEngines:
@@ -109,13 +120,12 @@ class TestSLPAEngines:
         assert fast.memories_as_dict() == ref.memories
 
     @common_settings
-    @given(contiguous_graphs(), st.integers(0, 3), st.integers(1, 3))
+    @given(any_id_graphs(), st.integers(0, 3), st.integers(1, 3))
     def test_distributed_array_equals_sequential(self, graph, seed, workers):
         ref = SLPA(graph.copy(), seed=seed, iterations=8)
         ref.propagate()
         memories, _ = run_distributed_slpa(
             graph.copy(), seed=seed, iterations=8, num_workers=workers,
-            shard_backend="csr", engine="array",
         )
         assert memories == ref.memories
 
@@ -132,7 +142,7 @@ class TestSLPAEngines:
 
 class TestComponents:
     @common_settings
-    @given(contiguous_graphs(), st.integers(1, 4))
+    @given(any_id_graphs(), st.integers(1, 4))
     def test_hash_to_min_equals_bfs(self, graph, workers):
         found, _ = distributed_connected_components(graph, num_workers=workers)
         expected = sorted(sorted(c) for c in graph.connected_components())
